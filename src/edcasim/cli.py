@@ -10,9 +10,10 @@ import os
 import sys
 from dataclasses import replace
 
-from .harness import emit_outputs, run_experiment, sweep
+from .engine import CONTROLLERS
+from .harness import SWEEP_AXES, emit_outputs, run_experiment, sweep
 from .oracle import cw_grid, solve_fixed_point
-from .phy import get_profile
+from .phy import BUILTIN_PROFILES, get_profile
 from .scenario import PRESETS, ConfigError, Scenario, emit_scenario, get_preset, load_scenario
 
 
@@ -78,12 +79,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _apply_overrides(_resolve_scenario(args.base), args)
-    values: list = args.values
-    if args.axis in ("n_stations",):
-        values = [int(v) for v in values]
-    elif args.axis in ("capture_threshold", "lambda"):
-        values = [float(v) for v in values]
-    rows = sweep(base, args.axis, values, jobs=args.jobs)
+    rows = sweep(base, args.axis, args.values, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     table = os.path.join(args.out, "sweep.csv")
     with open(table, "w", encoding="utf-8", newline="\n") as fh:
@@ -138,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--replications", type=int, default=None)
-    p_run.add_argument("--controller", choices=("cac", "dac", "edca-static"),
-                       default=None)
+    p_run.add_argument("--controller", choices=CONTROLLERS, default=None)
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--slot-trace", default=None, metavar="FILE",
                        help="write a per-event channel debug trace for the "
@@ -148,9 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per axis value")
     p_sweep.add_argument("--base", required=True, help="scenario file or preset")
-    p_sweep.add_argument("--axis", required=True,
-                         choices=("n_stations", "capture_threshold", "lambda",
-                                  "controller"))
+    p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("--values", nargs="+", required=True)
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--seed", type=int, default=None)
@@ -160,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="emit the CW-vs-throughput model grid")
     p_oracle.add_argument("--n", type=int, nargs="+", required=True)
-    p_oracle.add_argument("--profile", default="80211a-24mbps")
+    p_oracle.add_argument("--profile", default="80211a-24mbps",
+                          choices=sorted(BUILTIN_PROFILES))
     p_oracle.add_argument("--payload", type=int, default=1500)
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
@@ -178,7 +172,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

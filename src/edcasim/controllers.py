@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .estimators import BeaconCounters, estimate_p_obs, estimate_p_own
+from .estimators import MIN_POBS_SAMPLES, BeaconCounters, estimate_p_obs, estimate_p_own
 from .phy import PhyProfile, collision_duration
 
 
@@ -136,7 +136,8 @@ def initial_state(gains: PiGains, cw_floor: int, cw_ceiling: int) -> ControllerS
 
 
 def cac_step(ap_counters: BeaconCounters, state: ControllerState,
-             p_opt: float, min_samples: int = 20) -> tuple[ControllerState, int]:
+             p_opt: float, min_samples: int = MIN_POBS_SAMPLES
+             ) -> tuple[ControllerState, int]:
     """Centralized update at the AP; returns the window to broadcast.
 
     When the estimate defers, the previous window is rebroadcast unchanged.
@@ -149,7 +150,7 @@ def cac_step(ap_counters: BeaconCounters, state: ControllerState,
 
 def dac_step(local_counters: BeaconCounters, state: ControllerState,
              p_opt: float, max_retry: int, dropped_this_interval: int = 0,
-             min_samples: int = 20) -> ControllerState:
+             min_samples: int = MIN_POBS_SAMPLES) -> ControllerState:
     """Distributed update at one station, committed locally only.
 
     Defers whenever either estimate is unavailable for the interval.

@@ -6,10 +6,14 @@ from __future__ import annotations
 
 import math
 
-from .controllers import ControllerState, cac_step, compute_gains, dac_step, initial_state
-from .estimators import BeaconCounters, estimate_p_obs, estimate_p_own
+from .controllers import (ControllerState, PiGains, cac_step, compute_gains, dac_step,
+                          initial_state)
+from .estimators import MIN_POBS_SAMPLES, BeaconCounters, estimate_p_obs, estimate_p_own
 from .mac import CaptureModel, IntervalRecord, RunResult, Station, run_slot
 from .phy import PhyProfile
+
+
+CONTROLLERS = ("cac", "dac", "edca-static")
 
 
 class ControlPlane:
@@ -21,10 +25,10 @@ class ControlPlane:
     """
 
     def __init__(self, mode: str, station_ids: list[int], profile: PhyProfile,
-                 p_opt: float, min_samples: int = 20,
+                 p_opt: float, min_samples: int = MIN_POBS_SAMPLES,
                  gains_override: tuple[float, float] | None = None,
                  cw_bounds: tuple[int, int] | None = None):
-        if mode not in ("cac", "dac", "edca-static"):
+        if mode not in CONTROLLERS:
             raise ValueError(f"unknown controller mode {mode!r}")
         self.mode = mode
         self.profile = profile
@@ -36,7 +40,6 @@ class ControlPlane:
         else:
             m = profile.m_backoff_stages
             if gains_override is not None:
-                from .controllers import PiGains
                 self.gains = PiGains(k_p=gains_override[0], k_i=gains_override[1], m=m)
             else:
                 self.gains = compute_gains(p_opt, m)
@@ -168,25 +171,5 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             slot_log(t, outcome)
         t += int(round(outcome.duration))
 
-    return _collect(stations, records, n_intervals * profile.beacon_interval)
-
-
-def _collect(stations: list[Station], records: list[IntervalRecord],
-             duration_us: int) -> RunResult:
-    delivered = {s.id: s.delivered_bytes for s in stations}
-    thr = {s.id: 8.0 * s.delivered_bytes / duration_us for s in stations}
-    return RunResult(
-        duration_us=duration_us,
-        delivered_bytes=delivered,
-        throughput_mbps=thr,
-        total_mbps=sum(thr.values()),
-        records=records,
-        transfer_delays_us={s.id: list(s.traffic.transfer_delays_us)
-                            for s in stations},
-        drops={s.id: s.frames_dropped_retry for s in stations},
-        attempts={s.id: s.attempts_resolved for s in stations},
-        successes={s.id: s.counters.successes_cumulative for s in stations},
-        retries={s.id: s.counters.failures_cumulative for s in stations},
-        sniffed_flags={s.id: (s.counters.r0_total, s.counters.r1_total)
-                       for s in stations},
-    )
+    return RunResult.from_stations(stations, records,
+                                   n_intervals * profile.beacon_interval)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .engine import ControlPlane, _collect
+from .engine import ControlPlane
 from .estimators import BeaconCounters
 from .mac import CaptureModel, RunResult, Station
 from .phy import PhyProfile, data_airtime
@@ -279,5 +279,5 @@ class EventEngine:
                 self._on_beacon(t)
                 beacons_done += 1
 
-        return _collect(list(self.stations.values()), self.records,
-                        n_intervals * self.profile.beacon_interval)
+        return RunResult.from_stations(list(self.stations.values()), self.records,
+                                       n_intervals * self.profile.beacon_interval)

@@ -11,11 +11,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .controllers import compute_p_opt
-from .engine import ControlPlane, run_slotted
+from .engine import CONTROLLERS, ControlPlane, run_slotted
 from .eventmac import EventEngine
 from .mac import CaptureModel, RunResult, Station, TrafficSource
-from .scenario import (ConfigError, Scenario, emit_scenario, hidden_node_visibility,
-                       parse_scenario)
+from .scenario import ConfigError, Scenario, emit_scenario, hidden_node_visibility
 
 
 def jain_index(throughputs: list[float]) -> float:
@@ -90,16 +89,12 @@ def run_once(scenario: Scenario, rep: int, slot_log=None) -> RunResult:
     capture = CaptureModel(mode=scenario.capture_mode,
                            threshold_db=scenario.capture_threshold_db)
     point = compute_p_opt(profile, scenario.payload_bytes)
-    bounds = None
-    if scenario.cw_floor_override or scenario.cw_ceiling_override:
-        bounds = (scenario.cw_floor_override or profile.cw_floor,
-                  scenario.cw_ceiling_override or profile.cw_ceiling)
     gains = None
-    if scenario.kp_override is not None and scenario.ki_override is not None:
+    if scenario.kp_override is not None:
         gains = (scenario.kp_override, scenario.ki_override)
     control = ControlPlane(scenario.controller, [s.id for s in stations], profile,
                            point.p_opt, scenario.defer_min_samples,
-                           gains_override=gains, cw_bounds=bounds)
+                           gains_override=gains, cw_bounds=scenario.cw_bounds())
     duration_us = int(scenario.duration_s * 1e6)
     if scenario.is_fully_connected():
         return run_slotted(stations, profile, capture, control, duration_us,
@@ -181,7 +176,9 @@ def _run_once_star(args):
     return run_once(*args)
 
 
-SWEEP_AXES = ("n_stations", "capture_threshold", "lambda", "controller")
+# Sweep axis -> parser of its values; `sweep` applies it to every value.
+SWEEP_AXES = {"n_stations": int, "capture_threshold": float, "lambda": float,
+              "controller": str}
 
 
 def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
@@ -192,38 +189,44 @@ def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
     quality (ascending: worst link first).
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError("axis", f"unknown sweep axis {axis!r}; known: {SWEEP_AXES}")
+        raise ConfigError("axis", f"unknown sweep axis {axis!r}; "
+                          f"known: {tuple(SWEEP_AXES)}")
     if not values:
         raise ConfigError("values", "empty sweep values")
-    rows = []
+    parsed = []
     for v in values:
-        rows.append((v, run_experiment(_apply_axis(base, axis, v), jobs=jobs)))
-    return rows
+        try:
+            parsed.append(SWEEP_AXES[axis](v))
+        except (TypeError, ValueError):
+            raise ConfigError("values", f"bad {axis} value {v!r}") from None
+    scenarios = [_apply_axis(base, axis, v) for v in parsed]
+    for sc in scenarios:
+        sc.validate()   # every point, before any of them runs
+    return [(v, run_experiment(sc, jobs=jobs)) for v, sc in zip(parsed, scenarios)]
 
 
 def _apply_axis(base: Scenario, axis: str, value) -> Scenario:
     if axis == "n_stations":
-        n = int(value)
-        if n < 1 or n > base.n_stations:
+        if not 1 <= value <= base.n_stations:
             raise ConfigError("values",
-                              f"n_stations {n} outside 1..{base.n_stations}")
+                              f"n_stations {value} outside 1..{base.n_stations}")
         ordered = sorted(base.snr_db)  # ascending link quality
         if base.station_add_order == "descending":
             ordered = ordered[::-1]
-        return replace(base, snr_db=tuple(ordered[:n]),
-                       name=f"{base.name}/n{n}")
+        return replace(base, snr_db=tuple(ordered[:value]),
+                       name=f"{base.name}/n{value}")
     if axis == "capture_threshold":
         return replace(base, capture_mode="threshold",
-                       capture_threshold_db=float(value),
+                       capture_threshold_db=value,
                        name=f"{base.name}/thr{value}")
     if axis == "lambda":
         # Value is the mean silent time (1/lambda) in seconds.
-        return replace(base, traffic="onoff", silent_mean_s=float(value),
+        return replace(base, traffic="onoff", silent_mean_s=value,
                        name=f"{base.name}/silent{value}")
     if axis == "controller":
-        if value not in ("cac", "dac", "edca-static"):
+        if value not in CONTROLLERS:
             raise ConfigError("values", f"unknown controller {value!r}")
-        return replace(base, controller=str(value), name=f"{base.name}/{value}")
+        return replace(base, controller=value, name=f"{base.name}/{value}")
     raise AssertionError(axis)
 
 
@@ -272,8 +275,3 @@ def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
     except OSError as exc:
         raise OSError(f"writing outputs under {outdir!r}: {exc}") from exc
     return paths
-
-
-def load_locked_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())

@@ -15,6 +15,9 @@ from .estimators import BeaconCounters
 from .phy import FrameSpec, PhyProfile, collision_duration, success_duration
 
 
+CAPTURE_MODES = ("none", "threshold")
+
+
 @dataclass(frozen=True)
 class CaptureModel:
     """Receiver behavior when transmissions overlap at the AP.
@@ -23,11 +26,11 @@ class CaptureModel:
     second strongest by at least `threshold_db`; ties yield no winner.
     """
 
-    mode: str = "none"                    # "none" | "threshold"
+    mode: str = "none"                    # one of CAPTURE_MODES
     threshold_db: float = 10.0
 
     def __post_init__(self):
-        if self.mode not in ("none", "threshold"):
+        if self.mode not in CAPTURE_MODES:
             raise ValueError(f"unknown capture mode {self.mode!r}")
         if self.mode == "threshold" and self.threshold_db <= 0:
             raise ValueError("capture threshold must be positive")
@@ -43,7 +46,7 @@ class SlotOutcome:
 
 
 def resolve_capture(snr_by_station: dict[int, float],
-                    capture: CaptureModel, rng=None) -> int | None:
+                    capture: CaptureModel) -> int | None:
     """Pick the station whose frame survives an overlap, if any.
 
     The threshold rule is deterministic; ties need no randomness (no winner).
@@ -59,12 +62,15 @@ def resolve_capture(snr_by_station: dict[int, float],
     return None
 
 
+TRAFFIC_KINDS = ("saturated", "onoff")
+
+
 class TrafficSource:
     """Frame supply for one station: saturated, or on/off bursts."""
 
     def __init__(self, kind: str, payload_bytes: int, rng=None,
                  burst_bytes: int = 0, silent_mean_s: float = 0.0):
-        if kind not in ("saturated", "onoff"):
+        if kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown traffic kind {kind!r}")
         self.kind = kind
         self.frame = FrameSpec(payload_bytes=payload_bytes)
@@ -133,10 +139,6 @@ class Station:
         return self.retry_count > 0
 
     @property
-    def pending_frame(self) -> FrameSpec | None:
-        return self.traffic.frame if self.backlogged else None
-
-    @property
     def payload_bytes(self) -> int:
         return self.traffic.frame.payload_bytes
 
@@ -203,7 +205,7 @@ class Station:
 
 
 def run_slot(stations: list[Station], capture: CaptureModel,
-             profile: PhyProfile, rng=None, now_us: int = 0) -> SlotOutcome:
+             profile: PhyProfile, now_us: int = 0) -> SlotOutcome:
     """Advance the shared channel by one slot event.
 
     Stations whose backoff counter is zero transmit. No transmitter: an idle
@@ -283,6 +285,27 @@ class RunResult:
     successes: dict[int, int]
     retries: dict[int, int]
     sniffed_flags: dict[int, tuple[int, int]]   # whole-run (r0, r1) per vantage
+
+    @classmethod
+    def from_stations(cls, stations: list[Station], records: list[IntervalRecord],
+                      duration_us: int) -> RunResult:
+        """Whole-run totals read off the stations' accounting."""
+        thr = {s.id: 8.0 * s.delivered_bytes / duration_us for s in stations}
+        return cls(
+            duration_us=duration_us,
+            delivered_bytes={s.id: s.delivered_bytes for s in stations},
+            throughput_mbps=thr,
+            total_mbps=sum(thr.values()),
+            records=records,
+            transfer_delays_us={s.id: list(s.traffic.transfer_delays_us)
+                                for s in stations},
+            drops={s.id: s.frames_dropped_retry for s in stations},
+            attempts={s.id: s.attempts_resolved for s in stations},
+            successes={s.id: s.counters.successes_cumulative for s in stations},
+            retries={s.id: s.counters.failures_cumulative for s in stations},
+            sniffed_flags={s.id: (s.counters.r0_total, s.counters.r1_total)
+                           for s in stations},
+        )
 
     @property
     def station_ids(self) -> list[int]:

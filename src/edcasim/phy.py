@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 
-def _is_pow2(x: int) -> bool:
+def is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
@@ -43,7 +43,7 @@ class PhyProfile:
                 raise ValueError(f"{attr} must be positive, got {getattr(self, attr)}")
         if self.bit_rate <= 0:
             raise ValueError("bit_rate must be positive")
-        if not _is_pow2(self.cw_floor) or not _is_pow2(self.cw_ceiling):
+        if not is_pow2(self.cw_floor) or not is_pow2(self.cw_ceiling):
             raise ValueError("cw_floor and cw_ceiling must be powers of 2")
         if self.cw_floor >= self.cw_ceiling:
             raise ValueError("cw_floor must be < cw_ceiling")
@@ -63,7 +63,6 @@ class FrameSpec:
     """A data frame as the MAC sees it."""
 
     payload_bytes: int
-    requires_ack: bool = True
 
     def __post_init__(self):
         if self.payload_bytes <= 0:

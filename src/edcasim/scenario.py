@@ -8,7 +8,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .phy import BUILTIN_PROFILES, PhyProfile, get_profile
+from .engine import CONTROLLERS
+from .estimators import MIN_POBS_SAMPLES
+from .mac import CAPTURE_MODES, TRAFFIC_KINDS
+from .phy import BUILTIN_PROFILES, PhyProfile, get_profile, is_pow2
 
 
 class ConfigError(ValueError):
@@ -24,14 +27,14 @@ class Scenario:
     snr_db: tuple[float, ...]
     name: str = "custom"
     profile: str = "80211a-24mbps"
-    controller: str = "cac"              # cac | dac | edca-static
+    controller: str = "cac"              # one of CONTROLLERS
     payload_bytes: int = 1500
     duration_s: float = 30.0
     replications: int = 3
     seed: int = 1
-    capture_mode: str = "none"           # none | threshold
+    capture_mode: str = "none"           # one of CAPTURE_MODES
     capture_threshold_db: float = 10.0
-    traffic: str = "saturated"           # saturated | onoff
+    traffic: str = "saturated"           # one of TRAFFIC_KINDS
     burst_bytes: int = 10_000_000
     silent_mean_s: float = 30.0
     static_cw: int = 16
@@ -40,7 +43,7 @@ class Scenario:
     hidden_from_ap: tuple[int, ...] = ()
     hidden_links: tuple[tuple[int, int], ...] = ()   # directed: first cannot hear second
     allow_asymmetric: bool = False
-    defer_min_samples: int = 20
+    defer_min_samples: int = MIN_POBS_SAMPLES
     kp_override: float | None = None
     ki_override: float | None = None
     cw_floor_override: int | None = None
@@ -55,15 +58,32 @@ class Scenario:
     def phy(self) -> PhyProfile:
         return get_profile(self.profile)
 
+    def cw_bounds(self) -> tuple[int, int]:
+        """Controller window (floor, ceiling): the overrides, else the PHY's."""
+        phy = self.phy()
+        floor, ceiling = self.cw_floor_override, self.cw_ceiling_override
+        return (phy.cw_floor if floor is None else floor,
+                phy.cw_ceiling if ceiling is None else ceiling)
+
     def validate(self) -> None:
+        if "#" in self.name or self.name != self.name.strip() \
+                or len(self.name.splitlines()) > 1:
+            raise ConfigError("name", "must be one line, without '#' or "
+                              "surrounding whitespace")
         if self.profile not in BUILTIN_PROFILES:
             raise ConfigError("profile", f"unknown profile {self.profile!r}")
-        if self.controller not in ("cac", "dac", "edca-static"):
+        if self.controller not in CONTROLLERS:
             raise ConfigError("controller", f"unknown controller {self.controller!r}")
-        if self.traffic not in ("saturated", "onoff"):
+        if self.traffic not in TRAFFIC_KINDS:
             raise ConfigError("traffic", f"unknown traffic model {self.traffic!r}")
-        if self.capture_mode not in ("none", "threshold"):
+        if self.capture_mode not in CAPTURE_MODES:
             raise ConfigError("capture_mode", f"unknown capture mode {self.capture_mode!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f.name, "must be finite")
+        if self.capture_mode == "threshold" and self.capture_threshold_db <= 0:
+            raise ConfigError("capture_threshold_db", "must be positive")
         if self.n_stations < 1:
             raise ConfigError("snr_db", "at least one station required")
         if any(not math.isfinite(s) for s in self.snr_db):
@@ -103,6 +123,23 @@ class Scenario:
             raise ConfigError("station_add_order", "ascending or descending")
         if self.snr_jitter_db < 0:
             raise ConfigError("snr_jitter_db", "must be >= 0")
+        for name in ("cw_floor_override", "cw_ceiling_override"):
+            value = getattr(self, name)
+            if value is not None and not is_pow2(value):
+                raise ConfigError(name, f"must be a power of 2, got {value}")
+        floor, ceiling = self.cw_bounds()
+        if floor >= ceiling:
+            name = ("cw_floor_override" if self.cw_floor_override is not None
+                    else "cw_ceiling_override")
+            raise ConfigError(name, f"window floor {floor} must be below "
+                              f"ceiling {ceiling}")
+        for name in ("kp_override", "ki_override"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(name, "must be positive")
+        if (self.kp_override is None) != (self.ki_override is None):
+            missing = "ki_override" if self.ki_override is None else "kp_override"
+            raise ConfigError(missing, "kp_override and ki_override go together")
 
     def is_fully_connected(self) -> bool:
         return not (self.hidden_pairs or self.hidden_from_ap or self.hidden_links)
@@ -132,75 +169,62 @@ def hidden_node_visibility(scenario: Scenario) -> tuple[dict[int, set[int]], set
 
 # -- flat key = value config files -------------------------------------------
 
-_LIST_FIELDS = {"snr_db"}
-_PAIR_FIELDS = {"hidden_pairs", "hidden_links"}
-_INT_LIST_FIELDS = {"hidden_from_ap"}
-_OPTIONAL_FLOATS = {"kp_override", "ki_override"}
-_OPTIONAL_INTS = {"cw_floor_override", "cw_ceiling_override"}
+def _parse_bool(raw: str) -> bool:
+    word = raw.lower()
+    if word in ("true", "yes", "1"):
+        return True
+    if word in ("false", "no", "0"):
+        return False
+    raise ValueError(raw)
 
 
-def _parse_value(name: str, raw: str, target_type):
-    raw = raw.strip()
-    if name in _PAIR_FIELDS:
-        if not raw:
-            return ()
-        pairs = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                a, b = chunk.split("-")
-                pairs.append((int(a), int(b)))
-            except ValueError:
-                raise ConfigError(name, f"expected 'a-b' pairs, got {chunk!r}")
-        return tuple(pairs)
-    if name in _LIST_FIELDS:
-        try:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(name, f"expected comma-separated numbers, got {raw!r}")
-    if name in _INT_LIST_FIELDS:
-        try:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(name, f"expected comma-separated integers, got {raw!r}")
-    if name in _OPTIONAL_FLOATS | _OPTIONAL_INTS:
-        if raw.lower() in ("", "none"):
-            return None
-        caster = float if name in _OPTIONAL_FLOATS else int
-        try:
-            return caster(raw)
-        except ValueError:
-            raise ConfigError(name, f"expected a number, got {raw!r}")
-    if target_type is bool:
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(name, f"expected true/false, got {raw!r}")
-    if target_type is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(name, f"expected an integer, got {raw!r}")
-    if target_type is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(name, f"expected a number, got {raw!r}")
-    return raw
+def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for chunk in raw.split(";"):
+        if chunk.strip():
+            a, b = chunk.split("-")
+            pairs.append((int(a), int(b)))
+    return tuple(pairs)
+
+
+def _comma_list(parse):
+    return lambda raw: tuple(parse(v) for v in raw.split(",") if v.strip())
+
+
+def _optional(parse, render):
+    return (lambda raw: None if raw.lower() in ("", "none") else parse(raw),
+            lambda v: "none" if v is None else render(v))
+
+
+# Field annotation -> (parser, renderer, what the parser expects). Every
+# Scenario field and the `stations` shorthand are read and written through it.
+_FORMAT = {
+    "str": (str, str, "text"),
+    "int": (int, str, "an integer"),
+    "float": (float, repr, "a number"),
+    "bool": (_parse_bool, lambda v: "true" if v else "false", "true/false"),
+    "int | None": (*_optional(int, str), "an integer or none"),
+    "float | None": (*_optional(float, repr), "a number or none"),
+    "tuple[int, ...]": (_comma_list(int), lambda v: ", ".join(str(x) for x in v),
+                        "comma-separated integers"),
+    "tuple[float, ...]": (_comma_list(float), lambda v: ", ".join(repr(x) for x in v),
+                          "comma-separated numbers"),
+    "tuple[tuple[int, int], ...]": (
+        _parse_pairs, lambda v: "; ".join(f"{a}-{b}" for a, b in v),
+        "'a-b' pairs separated by ';'"),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+
+
+def _parse_value(name: str, raw: str, type_name: str):
+    parse, _, expected = _FORMAT[type_name]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(name, f"expected {expected}, got {raw!r}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
-    spec_fields = {f.name: f for f in fields(Scenario)}
-    type_of = {"name": str, "profile": str, "controller": str, "capture_mode": str,
-               "traffic": str, "station_add_order": str,
-               "payload_bytes": int, "replications": int, "seed": int,
-               "burst_bytes": int, "static_cw": int, "defer_min_samples": int,
-               "duration_s": float, "capture_threshold_db": float,
-               "silent_mean_s": float, "snr_jitter_db": float,
-               "static_beb": bool, "allow_asymmetric": bool}
     values = {}
     n_stations_hint = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -211,11 +235,11 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key == "stations":
-            n_stations_hint = _parse_value(key, raw, int)
-            continue
-        if key not in spec_fields:
+            n_stations_hint = _parse_value(key, raw, "int")
+        elif key in _FIELD_TYPES:
+            values[key] = _parse_value(key, raw, _FIELD_TYPES[key])
+        else:
             raise ConfigError(key, "unknown configuration key")
-        values[key] = _parse_value(key, raw, type_of.get(key, str))
     if "snr_db" not in values:
         raise ConfigError("snr_db", "missing required key")
     if n_stations_hint is not None:
@@ -233,23 +257,9 @@ def parse_scenario(text: str) -> Scenario:
 def emit_scenario(scenario: Scenario) -> str:
     """Serialize with every field explicit; parse(emit(s)) == s."""
     lines = [f"# scenario: {scenario.name}"]
-    for f in fields(Scenario):
-        v = getattr(scenario, f.name)
-        if f.name in _PAIR_FIELDS:
-            rendered = "; ".join(f"{a}-{b}" for a, b in v)
-        elif f.name in _LIST_FIELDS:
-            rendered = ", ".join(repr(x) for x in v)
-        elif f.name in _INT_LIST_FIELDS:
-            rendered = ", ".join(str(x) for x in v)
-        elif v is None:
-            rendered = "none"
-        elif isinstance(v, bool):
-            rendered = "true" if v else "false"
-        elif isinstance(v, float):
-            rendered = repr(v)
-        else:
-            rendered = str(v)
-        lines.append(f"{f.name} = {rendered}")
+    for name, type_name in _FIELD_TYPES.items():
+        render = _FORMAT[type_name][1]
+        lines.append(f"{name} = {render(getattr(scenario, name))}")
     return "\n".join(lines) + "\n"
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from edcasim.cli import main as cli_main
 from edcasim.harness import (SUMMARY_HEADER, TRACE_HEADER, emit_outputs,
-                             jain_index, load_locked_scenario, pearson_r,
-                             run_experiment, sweep)
-from edcasim.scenario import ConfigError, Scenario, get_preset
+                             jain_index, pearson_r, run_experiment, sweep)
+from edcasim.scenario import ConfigError, Scenario, get_preset, load_scenario
 
 
 def tiny_scenario(**kw):
@@ -146,6 +145,21 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(tiny_scenario(), "controller", [])
 
+    def test_values_are_parsed_by_their_axis(self):
+        rows = sweep(tiny_scenario(replications=1), "capture_threshold", [10])
+        assert rows[0][0] == 10.0 and isinstance(rows[0][0], float)
+        assert rows[0][1].scenario.name == "tiny/thr10.0"
+        with pytest.raises(ConfigError, match="'abc'") as err:
+            sweep(tiny_scenario(), "n_stations", ["abc"])
+        assert err.value.field == "values"
+
+    def test_bad_point_fails_before_any_runs(self, monkeypatch):
+        import edcasim.harness
+        monkeypatch.setattr(edcasim.harness, "run_experiment",
+                            lambda *a, **k: pytest.fail("a point ran"))
+        with pytest.raises(ConfigError, match="capture_threshold_db"):
+            sweep(tiny_scenario(), "capture_threshold", [10, -1])
+
 
 class TestOutputs:
     def test_files_schema_and_row_counts(self, tmp_path):
@@ -163,7 +177,7 @@ class TestOutputs:
     def test_lock_round_trip_reproduces_summary(self, tmp_path):
         sc = tiny_scenario()
         first = emit_outputs(run_experiment(sc), str(tmp_path / "a"))
-        locked = load_locked_scenario(first["scenario.lock"])
+        locked = load_scenario(first["scenario.lock"])
         assert locked == sc
         second = emit_outputs(run_experiment(locked), str(tmp_path / "b"))
         assert open(first["summary.csv"]).read() == open(second["summary.csv"]).read()
@@ -238,6 +252,29 @@ class TestCli:
         from edcasim.scenario import parse_scenario
         text = capsys.readouterr().out
         assert parse_scenario(text) == get_preset("fig7_udp_total")
+
+    @pytest.mark.parametrize("axis,value", [("n_stations", "abc"),
+                                            ("capture_threshold", "x")])
+    def test_sweep_bad_value_is_config_error(self, tmp_path, capsys, axis, value):
+        code = cli_main(["sweep", "--base", "fig10_hidden", "--axis", axis,
+                         "--values", value, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: values" in err and repr(value) in err
+
+    def test_unknown_oracle_profile_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["oracle", "--n", "2", "--profile", "nope"])
+        assert exc.value.code == 2
+
+    def test_internal_key_error_is_runtime_error(self, monkeypatch, capsys):
+        import edcasim.cli
+
+        def broken(args):
+            raise KeyError("internal")
+        monkeypatch.setattr(edcasim.cli, "cmd_presets", broken)
+        assert cli_main(["presets", "--list"]) == 3
+        assert "runtime error" in capsys.readouterr().err
 
     def test_sweep_cli(self, tmp_path):
         code = cli_main(["sweep", "--base", "fig10_hidden", "--axis",

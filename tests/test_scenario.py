@@ -1,6 +1,12 @@
-import pytest
+from dataclasses import fields
 
-from edcasim.scenario import (PRESETS, ConfigError, Scenario, emit_scenario,
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from edcasim.engine import CONTROLLERS
+from edcasim.mac import CAPTURE_MODES
+from edcasim.phy import BUILTIN_PROFILES
+from edcasim.scenario import (_FORMAT, PRESETS, ConfigError, Scenario, emit_scenario,
                               get_preset, hidden_node_visibility, parse_scenario)
 
 
@@ -71,6 +77,22 @@ class TestValidation:
         (dict(station_add_order="random"), "station_add_order"),
         (dict(snr_jitter_db=-1.0), "snr_jitter_db"),
         (dict(traffic="onoff", burst_bytes=100), "burst_bytes"),
+        (dict(duration_s=float("nan")), "duration_s"),
+        (dict(duration_s=float("inf")), "duration_s"),
+        (dict(capture_threshold_db=float("nan")), "capture_threshold_db"),
+        (dict(capture_threshold_db=0.0), "capture_threshold_db"),
+        (dict(cw_floor_override=-8), "cw_floor_override"),
+        (dict(cw_floor_override=0), "cw_floor_override"),
+        (dict(cw_floor_override=24), "cw_floor_override"),
+        (dict(cw_floor_override=2048), "cw_floor_override"),
+        (dict(cw_ceiling_override=8), "cw_ceiling_override"),
+        (dict(cw_floor_override=64, cw_ceiling_override=64), "cw_floor_override"),
+        (dict(kp_override=5.0), "ki_override"),
+        (dict(ki_override=5.0), "kp_override"),
+        (dict(kp_override=-5.0, ki_override=5.0), "kp_override"),
+        (dict(name="a#b"), "name"),
+        (dict(name="two\nlines"), "name"),
+        (dict(name=" padded"), "name"),
     ])
     def test_field_errors(self, kw, field):
         with pytest.raises(ConfigError) as err:
@@ -82,6 +104,74 @@ class TestValidation:
         with pytest.raises(ConfigError, match="asymmetric"):
             sc.validate()
         sample_scenario(hidden_links=((1, 2),), allow_asymmetric=True).validate()
+
+    def test_cw_bounds_resolve_overrides(self):
+        assert sample_scenario().cw_bounds() == (16, 1024)
+        sc = parse_scenario("snr_db = 30, 30\ncw_floor_override = 32\n")
+        assert sc.cw_bounds() == (32, 1024)
+        with pytest.raises(ConfigError, match="cw_floor_override"):
+            parse_scenario("snr_db = 30, 30\ncw_floor_override = 24\n")
+
+
+_POW2 = [2 ** k for k in range(13)]
+_FLOAT = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e6)
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios that set every field; names are arbitrary text."""
+    snr = tuple(draw(st.lists(_FLOAT, min_size=1, max_size=6)))
+    n = len(snr)
+    station = st.integers(1, n)
+    pair = st.lists(station, min_size=2, max_size=2, unique=True).map(tuple)
+    pairs = st.lists(pair, max_size=3).map(tuple) if n > 1 else st.just(())
+    hidden_pairs, hidden_links = draw(pairs), draw(pairs)
+    hidden_from_ap = tuple(draw(st.lists(station, max_size=2)))
+    hidden = hidden_pairs or hidden_links or hidden_from_ap
+    payload = draw(st.integers(1, 2304))
+    gains = draw(st.none() | st.tuples(_POSITIVE, _POSITIVE))
+    return Scenario(
+        snr_db=snr,
+        name=draw(st.text(max_size=20)),
+        profile=draw(st.sampled_from(sorted(BUILTIN_PROFILES))),
+        controller=draw(st.sampled_from(CONTROLLERS)),
+        payload_bytes=payload,
+        duration_s=draw(st.floats(min_value=1.0, max_value=1e5)),
+        replications=draw(st.integers(1, 10)),
+        seed=draw(st.integers()),
+        capture_mode=draw(st.sampled_from(CAPTURE_MODES)),
+        capture_threshold_db=draw(_POSITIVE),
+        traffic="saturated" if hidden else draw(st.sampled_from(("saturated", "onoff"))),
+        burst_bytes=draw(st.integers(payload, 10 ** 9)),
+        silent_mean_s=draw(_POSITIVE),
+        static_cw=draw(st.integers(1, 4096)),
+        static_beb=draw(st.booleans()),
+        hidden_pairs=hidden_pairs,
+        hidden_from_ap=hidden_from_ap,
+        hidden_links=hidden_links,
+        allow_asymmetric=bool(hidden_links) or draw(st.booleans()),
+        defer_min_samples=draw(st.integers()),
+        kp_override=None if gains is None else gains[0],
+        ki_override=None if gains is None else gains[1],
+        cw_floor_override=draw(st.none() | st.sampled_from(_POW2[:10])),
+        cw_ceiling_override=draw(st.none() | st.sampled_from(_POW2[5:])),
+        snr_jitter_db=draw(st.floats(min_value=0.0, max_value=100.0)),
+        station_add_order=draw(st.sampled_from(("ascending", "descending"))),
+    )
+
+
+class TestCodecProperties:
+    def test_every_field_type_has_a_format(self):
+        assert {f.type for f in fields(Scenario)} <= set(_FORMAT)
+
+    @given(scenarios())
+    def test_accepted_scenarios_round_trip(self, sc):
+        try:
+            sc.validate()
+        except ConfigError:
+            assume(False)
+        assert parse_scenario(emit_scenario(sc)) == sc
 
 
 class TestVisibility:
