@@ -6,8 +6,16 @@ a shared slot boundary. The engine is event-driven over integer microseconds:
 transmission starts/ends, ACKs, timeouts, and beacon ticks.
 
 Carrier sense, freezing, EIFS deference and sniffer visibility are all
-evaluated per vantage point against each station's heard set. A transmitting
-station is deaf for the duration of its own frame.
+evaluated per vantage point. A transmitting station is deaf for the duration
+of its own frame.
+
+Each event touches only the stations that can hear it. The hearing matrix
+is turned, once, into a tuple of hearers for every source (AP = 0) and an
+int bitmask "audience" of the stations that receive its frames; a station
+keeps a count of the frames it hears on the air, and loses (garbles) every
+frame that overlaps another one it receives. A station's pending start is
+not a heap entry: it sits in a table until it is the earliest event, and a
+freeze simply deletes it.
 """
 
 from __future__ import annotations
@@ -35,20 +43,19 @@ class _Tx:
     """One transmission on the air (data frame, ACK, or beacon)."""
 
     __slots__ = ("src", "start", "end", "kind", "snr", "retry_flag",
-                 "payload", "overlap_snrs", "ap_busy", "garbled_at", "owner")
+                 "overlap_snrs", "ap_busy", "garbled_at", "owner")
 
     def __init__(self, src, start, end, kind, snr=0.0, retry_flag=False,
-                 payload=0, owner=None):
+                 owner=None):
         self.src = src
         self.start = start
         self.end = end
         self.kind = kind                  # "data" | "ack" | "beacon"
         self.snr = snr
         self.retry_flag = retry_flag
-        self.payload = payload
         self.overlap_snrs: list[float] = []   # SNRs of data frames overlapping at AP
         self.ap_busy = False                  # AP was transmitting during the frame
-        self.garbled_at: set[int] = set()     # station vantages that lost this frame
+        self.garbled_at = 0                   # bitmask of station vantages that lost it
         self.owner = owner                    # data frame an ACK responds to
 
 
@@ -57,6 +64,8 @@ class EventEngine:
                  capture: CaptureModel, control: ControlPlane,
                  heard: dict[int, set[int]], ap_hears: set[int],
                  duration_us: int, slot_log=None):
+        """`heard` maps each station id to the node ids it hears (AP = 0);
+        `ap_hears` holds the stations whose frames reach the AP."""
         if any(s.traffic.kind != "saturated" for s in stations):
             raise ValueError("the hidden-topology engine supports saturated traffic only")
         self.slot_log = slot_log
@@ -64,19 +73,30 @@ class EventEngine:
         self.profile = profile
         self.capture = capture
         self.control = control
-        self.heard = heard          # station id -> audible node ids (incl. AP, itself)
         self.ap_hears = ap_hears
         self.duration_us = duration_us
         self.ap_counters = BeaconCounters()
 
+        # Per source: the stations that hear it, in station order, and its
+        # audience bitmask (those stations plus the source itself).
+        self._hearers: dict[int, tuple[int, ...]] = {}
+        self._audience: dict[int, int] = {}
+        for src in (AP, *self.stations):
+            hearers = tuple(i for i in self.stations
+                            if i != src and src in heard[i])
+            self._hearers[src] = hearers
+            self._audience[src] = sum(1 << i for i in {src, *hearers} - {AP})
+
         self._heap: list = []
         self._seq = itertools.count()
-        self._ongoing: set[_Tx] = set()
-        self._ongoing_heard: dict[int, set[_Tx]] = {s: set() for s in self.stations}
-        self._resume_at: dict[int, int] = {}
-        self._garbled_since: dict[int, bool] = {s: False for s in self.stations}
-        self._in_flight: dict[int, bool] = {s: False for s in self.stations}
-        self._version: dict[int, int] = {s: 0 for s in self.stations}
+        # station -> its pending start (fire time, _P_START, seq, station),
+        # ordered against heap entries by the same (time, prio, seq) key
+        self._starts: dict[int, tuple] = {}
+        self._ongoing: list[_Tx] = []
+        self._heard_count = dict.fromkeys(self.stations, 0)   # audible frames on air
+        self._resume_at = dict.fromkeys(self.stations, 0)
+        self._garbled_since = 0     # bitmask: lost a frame since it last deferred
+        self._in_flight = dict.fromkeys(self.stations, False)
         self._ap_tx_until = 0
         self.records = []
 
@@ -85,94 +105,100 @@ class EventEngine:
     def _push(self, time, prio, kind, payload):
         heapq.heappush(self._heap, (time, prio, next(self._seq), kind, payload))
 
-    def _station_hearers(self, src) -> list[int]:
-        return [i for i in self.stations if i != src and src in self.heard[i]]
-
     # -- countdown management -----------------------------------------------
 
-    def _schedule_tx(self, i: int, now: int) -> None:
-        st = self.stations[i]
-        if self._in_flight[i] or not st.backlogged or self._ongoing_heard[i]:
-            return
-        anchor = max(now, self._resume_at[i])
-        fire = anchor + st.backoff_counter * self.profile.slot_time
-        self._resume_at[i] = anchor
-        self._version[i] += 1
-        self._push(fire, _P_START, "tx_start", (i, self._version[i]))
+    def _freeze(self, ids, t: int) -> None:
+        """Stations that start hearing activity at t freeze their countdown,
+        keeping whole slots, and their pending start is cancelled."""
+        stations, resume_at, starts = self.stations, self._resume_at, self._starts
+        slot = self.profile.slot_time
+        for i in ids:
+            st = stations[i]
+            backoff = st.backoff_counter
+            elapsed = t - resume_at[i]
+            if elapsed == backoff * slot:
+                continue   # its own start fires this tick: simultaneous transmissions
+            if elapsed > 0:
+                backoff -= elapsed // slot
+                st.backoff_counter = backoff if backoff > 0 else 0
+            del starts[i]
 
-    def _interrupt(self, i: int, t: int) -> None:
-        """A station hears new activity at t: freeze, keeping whole slots."""
-        st = self.stations[i]
-        anchor = self._resume_at[i]
-        fire = anchor + st.backoff_counter * self.profile.slot_time
-        if fire == t:
-            return   # its own start fires this tick: simultaneous transmissions
-        if t > anchor:
-            completed = (t - anchor) // self.profile.slot_time
-            st.backoff_counter = max(0, st.backoff_counter - completed)
-        self._version[i] += 1   # cancel the pending start
+    def _resume(self, ids, t: int) -> None:
+        """Stations that hear an idle channel from t on defer AIFS, or EIFS
+        after a lost frame, then count down to a pending start."""
+        stations, resume_at, starts, seq = (self.stations, self._resume_at,
+                                            self._starts, self._seq)
+        profile = self.profile
+        slot, aifs, eifs = profile.slot_time, profile.aifs, profile.eifs
+        garbled = self._garbled_since
+        for i in ids:
+            if garbled and garbled >> i & 1:
+                garbled ^= 1 << i
+                anchor = t + eifs
+            else:
+                anchor = t + aifs
+            if anchor < resume_at[i]:
+                anchor = resume_at[i]
+            resume_at[i] = anchor
+            starts[i] = (anchor + stations[i].backoff_counter * slot, _P_START,
+                         next(seq), i)
+        self._garbled_since = garbled
 
     # -- channel bookkeeping ------------------------------------------------
 
     def _begin_tx(self, tx: _Tx) -> None:
+        audience = self._audience
+        tx_audience = audience[tx.src]
+        tx_data = tx.kind == "data"
+        tx_to_ap = tx_data and tx.src in self.ap_hears
+        from_ap = not tx_data
         for f in self._ongoing:
-            if tx.kind == "data" and f.kind == "data":
-                if tx.src in self.ap_hears and f.src in self.ap_hears:
+            if f.kind == "data":
+                if tx_to_ap and f.src in self.ap_hears:
                     f.overlap_snrs.append(tx.snr)
                     tx.overlap_snrs.append(f.snr)
-            for i in self.stations:
-                f_audible = f.src == i or f.src in self.heard[i]
-                tx_audible = tx.src == i or tx.src in self.heard[i]
-                if f_audible and tx_audible:
-                    f.garbled_at.add(i)
-                    tx.garbled_at.add(i)
-                    self._garbled_since[i] = True
-        if tx.kind == "data" and self._ap_tx_until > tx.start:
-            tx.ap_busy = True
-        if tx.kind in ("ack", "beacon"):
-            self._ap_tx_until = tx.end
-            for f in self._ongoing:
-                if f.kind == "data":
+                if from_ap:
                     f.ap_busy = True
+            lost = audience[f.src] & tx_audience
+            if lost:
+                f.garbled_at |= lost
+                tx.garbled_at |= lost
+                self._garbled_since |= lost
+        if tx_data:
+            if self._ap_tx_until > tx.start:
+                tx.ap_busy = True
+        else:
+            self._ap_tx_until = tx.end
+        self._ongoing.append(tx)
 
-        self._ongoing.add(tx)
-        if tx.src != AP:
-            self._ongoing_heard[tx.src].add(tx)
-        for i in self._station_hearers(tx.src):
-            if not self._in_flight[i]:
-                if not self._ongoing_heard[i]:
-                    self._interrupt(i, tx.start)
-                self._ongoing_heard[i].add(tx)
-            else:
-                # Deaf while transmitting/awaiting: handled via garbled_at above.
-                self._ongoing_heard[i].add(tx)
+        # Deaf while transmitting or awaiting a response: such a station
+        # still counts the frame, and loses it through garbled_at above.
+        count, in_flight = self._heard_count, self._in_flight
+        idle = []
+        for i in self._hearers[tx.src]:
+            if not count[i] and not in_flight[i]:
+                idle.append(i)
+            count[i] += 1
+        self._freeze(idle, tx.start)
 
     def _end_tx(self, tx: _Tx, t: int) -> None:
-        self._ongoing.discard(tx)
-        for i in self.stations:
-            heardset = self._ongoing_heard[i]
-            if tx in heardset:
-                heardset.discard(tx)
-                if not heardset and not self._in_flight[i] and i != tx.src:
-                    gap = self.profile.eifs if self._garbled_since[i] else self.profile.aifs
-                    self._garbled_since[i] = False
-                    self._resume_at[i] = max(self._resume_at[i], t + gap)
-                    self._schedule_tx(i, t)
+        self._ongoing.remove(tx)
+        count, in_flight = self._heard_count, self._in_flight
+        idle = []
+        for i in self._hearers[tx.src]:
+            count[i] -= 1
+            if not count[i] and not in_flight[i]:
+                idle.append(i)
+        self._resume(idle, t)
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_tx_start(self, t, i, version):
-        if version != self._version[i]:
-            return
+    def _on_tx_start(self, t, i):
         st = self.stations[i]
-        if self._in_flight[i] or not st.backlogged:
-            return
         st.note_attempt()
         self._in_flight[i] = True
-        self._version[i] += 1
         tx = _Tx(src=i, start=t, end=t + data_airtime(self.profile, st.payload_bytes),
-                 kind="data", snr=st.snr_db, retry_flag=st.retry_flag,
-                 payload=st.payload_bytes)
+                 kind="data", snr=st.snr_db, retry_flag=st.retry_flag)
         self._begin_tx(tx)
         self._push(tx.end, _P_END, "data_end", tx)
 
@@ -188,9 +214,10 @@ class EventEngine:
     def _on_data_end(self, t, tx: _Tx):
         self._end_tx(tx, t)
         # Sniffers: every station that heard the whole frame cleanly.
-        for i in self._station_hearers(tx.src):
-            if i not in tx.garbled_at:
-                self.stations[i].counters.observe_frame(tx.retry_flag)
+        stations, garbled = self.stations, tx.garbled_at
+        for i in self._hearers[tx.src]:
+            if not garbled >> i & 1:
+                stations[i].counters.observe_frame(tx.retry_flag)
         decoded = self._decoded_at_ap(tx)
         if self.slot_log is not None:
             kind = "decoded" if decoded else "lost"
@@ -215,7 +242,7 @@ class EventEngine:
     def _on_ack_end(self, t, ack: _Tx):
         self._end_tx(ack, t)
         src = ack.owner.src
-        if src in ack.garbled_at:
+        if ack.garbled_at >> src & 1:
             self._push(ack.owner.end + self.profile.ack_timeout, _P_FAIL,
                        "tx_fail", ack.owner)
             return
@@ -232,12 +259,11 @@ class EventEngine:
     def _finish_exchange(self, src: int, t: int) -> None:
         """Return a station to contention after its own exchange resolves."""
         self._in_flight[src] = False
-        if not self._ongoing_heard[src]:
+        if not self._heard_count[src]:
             # fresh listening period: stale overlap marks from the station's
             # own transmission must not turn the next deference into EIFS
-            self._garbled_since[src] = False
-        self._resume_at[src] = max(self._resume_at[src], t + self.profile.aifs)
-        self._schedule_tx(src, t)
+            self._garbled_since &= ~(1 << src)
+            self._resume((src,), t)
 
     def _on_beacon(self, t):
         self.records.extend(self.control.beacon_update(
@@ -254,18 +280,24 @@ class EventEngine:
         n_intervals = self.duration_us // self.profile.beacon_interval
         if n_intervals < 1:
             raise ValueError("duration shorter than one beacon interval")
-        for i in self.stations:
-            self._resume_at[i] = self.profile.aifs
-            self._schedule_tx(i, 0)
+        self._resume(self.stations, 0)
         for k in range(1, n_intervals + 1):
             self._push(k * self.profile.beacon_interval, _P_BEACON, "beacon", k)
 
+        # Events run in (time, priority, sequence) order. A pending start
+        # carries its sequence number from when it was scheduled, so it
+        # takes its turn against the heap exactly as a heap entry would.
+        heap, starts = self._heap, self._starts
         beacons_done = 0
-        while self._heap and beacons_done < n_intervals:
-            t, _prio, _seq, kind, payload = heapq.heappop(self._heap)
-            if kind == "tx_start":
-                self._on_tx_start(t, payload[0], payload[1])
-            elif kind == "data_end":
+        while beacons_done < n_intervals:
+            if starts:
+                start = min(starts.values())
+                if start < heap[0]:
+                    del starts[start[3]]
+                    self._on_tx_start(start[0], start[3])
+                    continue
+            t, _prio, _seq, kind, payload = heapq.heappop(heap)
+            if kind == "data_end":
                 self._on_data_end(t, payload)
             elif kind == "ack_start":
                 self._on_ack_start(t, payload)

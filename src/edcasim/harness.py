@@ -61,6 +61,7 @@ def _station_rng(run_seed: int, sid: int, purpose: str) -> random.Random:
 def _build_stations(scenario: Scenario, run_seed: int) -> list[Station]:
     profile = scenario.phy()
     jitter_rng = _station_rng(run_seed, 0, "snr")
+    cw_floor = scenario.cw_bounds()[0]
     stations = []
     for idx, snr in enumerate(scenario.snr_db, start=1):
         if scenario.snr_jitter_db > 0:
@@ -73,7 +74,7 @@ def _build_stations(scenario: Scenario, run_seed: int) -> list[Station]:
         if scenario.controller == "edca-static":
             cw, beb = scenario.static_cw, scenario.static_beb
         else:
-            cw, beb = profile.cw_floor, True
+            cw, beb = cw_floor, True
         stations.append(Station(
             station_id=idx, snr_db=snr, profile=profile,
             rng=_station_rng(run_seed, idx, "mac"),
@@ -251,7 +252,6 @@ def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
              for name in ("summary.csv", "trace.csv", "scenario.lock")}
     try:
         scenario = result.scenario
-        snr_by_station = {i + 1: s for i, s in enumerate(scenario.snr_db)}
         with open(paths["summary.csv"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(SUMMARY_HEADER + "\n")
             for rep, run in enumerate(result.runs):
@@ -260,7 +260,7 @@ def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
                 for sid in run.station_ids:
                     fh.write(",".join([
                         scenario.name, str(result.seeds[rep]), str(sid),
-                        _fmt(float(snr_by_station[sid])),
+                        _fmt(float(run.snr_db[sid])),
                         _fmt(run.throughput_mbps[sid]), _fmt(jfi)]) + "\n")
         with open(paths["trace.csv"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRACE_HEADER + "\n")

@@ -285,6 +285,7 @@ class RunResult:
     successes: dict[int, int]
     retries: dict[int, int]
     sniffed_flags: dict[int, tuple[int, int]]   # whole-run (r0, r1) per vantage
+    snr_db: dict[int, float]                    # link SNR each station ran with
 
     @classmethod
     def from_stations(cls, stations: list[Station], records: list[IntervalRecord],
@@ -305,6 +306,7 @@ class RunResult:
             retries={s.id: s.counters.failures_cumulative for s in stations},
             sniffed_flags={s.id: (s.counters.r0_total, s.counters.r1_total)
                            for s in stations},
+            snr_db={s.id: s.snr_db for s in stations},
         )
 
     @property

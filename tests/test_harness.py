@@ -4,7 +4,8 @@ import math
 import pytest
 
 from edcasim.cli import main as cli_main
-from edcasim.harness import (SUMMARY_HEADER, TRACE_HEADER, emit_outputs,
+from edcasim.harness import (SUMMARY_HEADER, TRACE_HEADER, _build_stations,
+                             emit_outputs,
                              jain_index, pearson_r, run_experiment, sweep)
 from edcasim.scenario import ConfigError, Scenario, get_preset, load_scenario
 
@@ -102,6 +103,16 @@ class TestExperiment:
             if rec.node == "ap":
                 assert rec.error is None and rec.cw_quantized == 16
 
+    @pytest.mark.parametrize("controller", ["cac", "dac"])
+    def test_first_window_starts_at_cw_floor_override(self, controller):
+        # before the first beacon no controller has run: the stations' own
+        # starting window must already respect the configured floor
+        sc = tiny_scenario(controller=controller, cw_floor_override=256)
+        assert all(s.cw_min_current == 256 for s in _build_stations(sc, sc.seed))
+        assert all(s.cw_min_current == 16
+                   for s in _build_stations(tiny_scenario(controller=controller),
+                                            sc.seed))
+
     def test_slot_log_reaches_both_engines(self):
         events = []
         run_experiment(tiny_scenario(replications=1, duration_s=1.0),
@@ -181,6 +192,25 @@ class TestOutputs:
         assert locked == sc
         second = emit_outputs(run_experiment(locked), str(tmp_path / "b"))
         assert open(first["summary.csv"]).read() == open(second["summary.csv"]).read()
+
+    def test_summary_writes_the_simulated_snr(self, tmp_path):
+        sc = tiny_scenario(snr_jitter_db=3.0)
+        res = run_experiment(sc)
+        rows = [line.split(",") for line in
+                open(emit_outputs(res, str(tmp_path))["summary.csv"]).read()
+                .splitlines()[1:]]
+        assert len(rows) == sc.replications * sc.n_stations
+        for _name, seed, sid, snr, *_ in rows:
+            ran_with = {s.id: s.snr_db for s in _build_stations(sc, int(seed))}
+            assert float(snr) == pytest.approx(ran_with[int(sid)], abs=1e-6)
+            assert float(snr) != sc.snr_db[int(sid) - 1]
+
+    def test_summary_snr_is_nominal_without_jitter(self, tmp_path):
+        sc = tiny_scenario()
+        res = run_experiment(sc)
+        rows = open(emit_outputs(res, str(tmp_path))["summary.csv"]).read()
+        snrs = [line.split(",")[3] for line in rows.splitlines()[1:]]
+        assert snrs == [f"{x:.6f}" for x in sc.snr_db] * sc.replications
 
     def test_byte_identical_reruns(self, tmp_path):
         sc = tiny_scenario(controller="dac")

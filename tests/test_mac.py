@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edcasim.controllers import compute_p_opt
-from edcasim.engine import ControlPlane, run_slotted
+from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
 from edcasim.harness import run_once
-from edcasim.mac import CaptureModel, Station, TrafficSource, resolve_capture, run_slot
+from edcasim.mac import CAPTURE_MODES, CaptureModel, Station, TrafficSource, resolve_capture, run_slot
 from edcasim.oracle import solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario
@@ -215,6 +216,39 @@ class TestInvariants:
         res = run_scenario(controller="cac", n=4, duration_s=1.5, seed=9)
         intervals = int(1.5e6) // PROFILE.beacon_interval
         assert len(res.records) == intervals * (4 + 1)   # stations + AP
+
+
+@st.composite
+def small_scenarios(draw):
+    """Short saturated runs on both engines: a fully connected topology
+    (slotted engine), a hidden pair or a station hidden from the AP (event
+    engine)."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    topology = draw(st.sampled_from(("full", "hidden_pair", "hidden_from_ap")))
+    return Scenario(
+        snr_db=tuple(draw(st.lists(st.sampled_from((40.0, 35.0, 30.0, 25.0, 20.0)),
+                                   min_size=n, max_size=n))),
+        controller=draw(st.sampled_from(CONTROLLERS)),
+        capture_mode=draw(st.sampled_from(CAPTURE_MODES)),
+        static_beb=draw(st.booleans()),
+        hidden_pairs=((1, 2),) if topology == "hidden_pair" else (),
+        hidden_from_ap=(n,) if topology == "hidden_from_ap" else (),
+        duration_s=1.0, replications=1, seed=draw(st.integers(0, 10_000)),
+        name="prop")
+
+
+class TestAccountingProperties:
+    # `attempts` counts the attempts of resolved frames only, while `retries`
+    # also counts the retries of the frame still in flight at the end.
+    @settings(max_examples=12, deadline=None)
+    @given(small_scenarios())
+    def test_resolved_attempts_and_delivered_bytes(self, sc):
+        res = run_once(sc, 0)
+        for sid in res.station_ids:
+            in_flight_retries = (res.successes[sid] + res.drops[sid]
+                                 + res.retries[sid] - res.attempts[sid])
+            assert 0 <= in_flight_retries <= PROFILE.max_retry
+            assert res.delivered_bytes[sid] == res.successes[sid] * sc.payload_bytes
 
 
 class TestClosedLoop:
