@@ -5,8 +5,8 @@ import pytest
 
 from edcasim.cli import main as cli_main
 from edcasim.harness import (SUMMARY_HEADER, TRACE_HEADER, _build_stations,
-                             emit_outputs,
-                             jain_index, pearson_r, run_experiment, sweep)
+                             emit_outputs, jain_index, pearson_r, run_experiment,
+                             sweep)
 from edcasim.scenario import ConfigError, Scenario, get_preset, load_scenario
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from edcasim.controllers import compute_p_opt
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
 from edcasim.harness import run_once
-from edcasim.mac import CAPTURE_MODES, CaptureModel, Station, TrafficSource, resolve_capture, run_slot
+from edcasim.mac import (CAPTURE_MODES, CaptureModel, Station, TrafficSource,
+                         resolve_capture, run_slot)
 from edcasim.oracle import solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario
