@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from .engine import CONTROLLERS
-from .harness import SWEEP_AXES, emit_outputs, run_experiment, sweep
+from .harness import SWEEP_AXES, emit_outputs, run_experiment, slot_trace_writer, sweep
 from .oracle import cw_grid, solve_fixed_point
 from .phy import BUILTIN_PROFILES, get_profile
 from .scenario import PRESETS, ConfigError, Scenario, emit_scenario, get_preset, load_scenario
@@ -48,13 +48,7 @@ def cmd_run(args) -> int:
         if parent:
             os.makedirs(parent, exist_ok=True)
         trace_fh = open(args.slot_trace, "w", encoding="utf-8", newline="\n")
-
-        def slot_log(t, event):
-            if isinstance(event, str):
-                trace_fh.write(f"{t},{event}\n")
-            elif event.kind != "idle":
-                txs = " ".join(f"sta{i}" for i in sorted(event.transmitters))
-                trace_fh.write(f"{t},{event.kind} {txs}\n")
+        slot_log = slot_trace_writer(trace_fh)
 
     try:
         result = run_experiment(scenario, jobs=args.jobs, slot_log=slot_log)
@@ -137,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--controller", choices=CONTROLLERS, default=None)
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--slot-trace", default=None, metavar="FILE",
-                       help="write a per-event channel debug trace for the "
-                            "first replication")
+                       help="write one CSV row per transmitted data frame of "
+                            "the first replication")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per axis value")

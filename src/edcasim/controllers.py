@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .estimators import MIN_POBS_SAMPLES, BeaconCounters, estimate_p_obs, estimate_p_own
 from .phy import PhyProfile, collision_duration
 
 
@@ -135,28 +134,26 @@ def initial_state(gains: PiGains, cw_floor: int, cw_ceiling: int) -> ControllerS
                            cw_real=float(cw_floor), cw_quantized=cw_floor)
 
 
-def cac_step(ap_counters: BeaconCounters, state: ControllerState,
-             p_opt: float, min_samples: int = MIN_POBS_SAMPLES
-             ) -> tuple[ControllerState, int]:
-    """Centralized update at the AP; returns the window to broadcast.
+def cac_step(p_obs: float | None, state: ControllerState,
+             p_opt: float) -> tuple[ControllerState, int]:
+    """Centralized update at the AP from its `p_obs` estimate; returns the
+    window to broadcast.
 
-    When the estimate defers, the previous window is rebroadcast unchanged.
+    When the estimate defers (None), the previous window is rebroadcast
+    unchanged.
     """
-    p_obs = estimate_p_obs(ap_counters, min_samples)
     error = None if p_obs is None else cac_error(p_obs, p_opt)
     new_state = pi_update(state, error)
     return new_state, new_state.cw_quantized
 
 
-def dac_step(local_counters: BeaconCounters, state: ControllerState,
-             p_opt: float, max_retry: int, dropped_this_interval: int = 0,
-             min_samples: int = MIN_POBS_SAMPLES) -> ControllerState:
-    """Distributed update at one station, committed locally only.
+def dac_step(p_obs: float | None, p_own: float | None, state: ControllerState,
+             p_opt: float) -> ControllerState:
+    """Distributed update at one station from its own two estimates,
+    committed locally only.
 
-    Defers whenever either estimate is unavailable for the interval.
+    Defers whenever either estimate is unavailable (None) for the interval.
     """
-    p_obs = estimate_p_obs(local_counters, min_samples)
-    p_own = estimate_p_own(local_counters, max_retry, dropped_this_interval)
     if p_obs is None or p_own is None:
         return pi_update(state, None)
     return pi_update(state, dac_error(p_obs, p_own, p_opt))

@@ -1,16 +1,83 @@
-"""Beacon-interval orchestration shared by both channel engines, plus the
-slotted simulation loop for fully connected topologies.
+"""Beacon-interval orchestration shared by both channel engines, the records
+they produce, and the slotted simulation loop for fully connected topologies.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .controllers import (ControllerState, PiGains, cac_step, compute_gains, dac_step,
                           initial_state)
 from .estimators import MIN_POBS_SAMPLES, BeaconCounters, estimate_p_obs, estimate_p_own
-from .mac import CaptureModel, IntervalRecord, RunResult, Station, run_slot
+from .mac import CaptureModel, Station, run_slot
 from .phy import PhyProfile
+
+
+@dataclass(frozen=True)
+class FrameRecord:
+    """One transmitted data frame, as either engine hands it to `slot_log`."""
+
+    start_us: int
+    station: int
+    decoded: bool          # the AP decoded it
+    overlaps: int          # other data frames overlapping it at the AP
+    retry: bool            # its retry flag
+
+
+@dataclass
+class IntervalRecord:
+    """Per-node controller/estimator snapshot emitted each beacon interval."""
+
+    t_ms: int
+    node: str
+    p_obs: float | None
+    p_own: float | None
+    error: float | None
+    cw_real: float | None
+    cw_quantized: int | None
+
+
+@dataclass
+class RunResult:
+    duration_us: int
+    delivered_bytes: dict[int, int]
+    throughput_mbps: dict[int, float]
+    total_mbps: float
+    records: list[IntervalRecord]
+    transfer_delays_us: dict[int, list[int]]
+    drops: dict[int, int]
+    attempts: dict[int, int]
+    successes: dict[int, int]
+    retries: dict[int, int]
+    sniffed_flags: dict[int, tuple[int, int]]   # whole-run (r0, r1) per vantage
+    snr_db: dict[int, float]                    # link SNR each station ran with
+
+    @classmethod
+    def from_stations(cls, stations: list[Station], records: list[IntervalRecord],
+                      duration_us: int) -> RunResult:
+        """Whole-run totals read off the stations' accounting."""
+        thr = {s.id: 8.0 * s.delivered_bytes / duration_us for s in stations}
+        return cls(
+            duration_us=duration_us,
+            delivered_bytes={s.id: s.delivered_bytes for s in stations},
+            throughput_mbps=thr,
+            total_mbps=sum(thr.values()),
+            records=records,
+            transfer_delays_us={s.id: list(s.traffic.transfer_delays_us)
+                                for s in stations},
+            drops={s.id: s.frames_dropped_retry for s in stations},
+            attempts={s.id: s.attempts_resolved for s in stations},
+            successes={s.id: s.counters.successes_cumulative for s in stations},
+            retries={s.id: s.counters.failures_cumulative for s in stations},
+            sniffed_flags={s.id: (s.counters.r0_total, s.counters.r1_total)
+                           for s in stations},
+            snr_db={s.id: s.snr_db for s in stations},
+        )
+
+    @property
+    def station_ids(self) -> list[int]:
+        return sorted(self.throughput_mbps)
 
 
 CONTROLLERS = ("cac", "dac", "edca-static")
@@ -61,8 +128,7 @@ class ControlPlane:
 
         if self.mode == "cac":
             old = self.cac_state
-            self.cac_state, announced = cac_step(ap_counters, old, self.p_opt,
-                                                 self.min_samples)
+            self.cac_state, announced = cac_step(ap_p_obs, old, self.p_opt)
             err = self._step_error(old, self.cac_state)
             if announced in (self.cac_state.cw_floor, self.cac_state.cw_ceiling):
                 self.cw_cap_hits += 1
@@ -80,12 +146,10 @@ class ControlPlane:
                                    s.dropped_this_interval)
             if self.mode == "dac":
                 old = self.dac_states[s.id]
-                new = dac_step(s.counters, old, self.p_opt,
-                               self.profile.max_retry, s.dropped_this_interval,
-                               self.min_samples)
+                new = dac_step(p_obs, p_own, old, self.p_opt)
                 self.dac_states[s.id] = new
                 err = self._step_error(old, new)
-                if new is not old and new.cw_quantized in (new.cw_floor, new.cw_ceiling):
+                if new.cw_quantized in (new.cw_floor, new.cw_ceiling):
                     self.cw_cap_hits += 1
                 s.commit_cw_min(new.cw_quantized)
                 records.append(IntervalRecord(t_ms, f"sta{s.id}", p_obs, p_own,
@@ -100,27 +164,16 @@ class ControlPlane:
         return records
 
 
-def _observe_decoded(outcome, stations: list[Station],
-                     ap_counters: BeaconCounters) -> None:
-    """Feed the decoded frame, if any, to every vantage point that heard it.
-
-    The AP always decodes the surviving frame. Stations sniff frames from
-    others only: a transmitting station (winner or loser) cannot receive.
-    """
-    if outcome.decoded is None:
-        return
-    flag = outcome.decoded_retry_flag
-    ap_counters.observe_frame(flag)
-    for s in stations:
-        if s.id not in outcome.transmitters:
-            s.counters.observe_frame(flag)
-
-
 def run_slotted(stations: list[Station], profile: PhyProfile,
                 capture: CaptureModel, control: ControlPlane,
                 duration_us: int, slot_log=None) -> RunResult:
-    """Simulate a fully connected WLAN for a whole number of beacon intervals."""
+    """Simulate a fully connected WLAN for a whole number of beacon intervals.
+
+    `slot_log`, when given, receives a FrameRecord for every data frame.
+    """
     ap_counters = BeaconCounters()
+    log_frame = None if slot_log is None else (
+        lambda *frame: slot_log(FrameRecord(*frame)))
     n_intervals = duration_us // profile.beacon_interval
     if n_intervals < 1:
         raise ValueError("duration shorter than one beacon interval")
@@ -165,11 +218,7 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             t += jump * slot
             continue
 
-        outcome = run_slot(stations, capture, profile, now_us=t)
-        _observe_decoded(outcome, stations, ap_counters)
-        if slot_log is not None:
-            slot_log(t, outcome)
-        t += int(round(outcome.duration))
+        t += int(round(run_slot(stations, capture, profile, ap_counters, t, log_frame)))
 
     return RunResult.from_stations(stations, records,
                                    n_intervals * profile.beacon_interval)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .engine import ControlPlane
+from .engine import ControlPlane, FrameRecord, RunResult
 from .estimators import BeaconCounters
-from .mac import CaptureModel, RunResult, Station
+from .mac import CaptureModel, Station
 from .phy import PhyProfile, data_airtime
 
 AP = 0
@@ -65,7 +65,8 @@ class EventEngine:
                  heard: dict[int, set[int]], ap_hears: set[int],
                  duration_us: int, slot_log=None):
         """`heard` maps each station id to the node ids it hears (AP = 0);
-        `ap_hears` holds the stations whose frames reach the AP."""
+        `ap_hears` holds the stations whose frames reach the AP. `slot_log`,
+        when given, receives a FrameRecord for every data frame."""
         if any(s.traffic.kind != "saturated" for s in stations):
             raise ValueError("the hidden-topology engine supports saturated traffic only")
         self.slot_log = slot_log
@@ -220,9 +221,8 @@ class EventEngine:
                 stations[i].counters.observe_frame(tx.retry_flag)
         decoded = self._decoded_at_ap(tx)
         if self.slot_log is not None:
-            kind = "decoded" if decoded else "lost"
-            self.slot_log(tx.start, f"{kind} sta{tx.src} "
-                          f"overlaps={len(tx.overlap_snrs)}")
+            self.slot_log(FrameRecord(tx.start, tx.src, decoded,
+                                      len(tx.overlap_snrs), tx.retry_flag))
         if decoded:
             self.ap_counters.observe_frame(tx.retry_flag)
             self._push(t + self.profile.sifs, _P_ACK, "ack_start", tx)

@@ -11,9 +11,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .controllers import compute_p_opt
-from .engine import CONTROLLERS, ControlPlane, run_slotted
+from .engine import CONTROLLERS, ControlPlane, FrameRecord, RunResult, run_slotted
 from .eventmac import EventEngine
-from .mac import CaptureModel, RunResult, Station, TrafficSource
+from .mac import CaptureModel, Station, TrafficSource
 from .scenario import ConfigError, Scenario, emit_scenario, hidden_node_visibility
 
 
@@ -96,13 +96,12 @@ def run_once(scenario: Scenario, rep: int, slot_log=None) -> RunResult:
     control = ControlPlane(scenario.controller, [s.id for s in stations], profile,
                            point.p_opt, scenario.defer_min_samples,
                            gains_override=gains, cw_bounds=scenario.cw_bounds())
-    duration_us = int(scenario.duration_s * 1e6)
     if scenario.is_fully_connected():
-        return run_slotted(stations, profile, capture, control, duration_us,
-                           slot_log=slot_log)
+        return run_slotted(stations, profile, capture, control,
+                           scenario.duration_us, slot_log=slot_log)
     heard, ap_hears = hidden_node_visibility(scenario)
     engine = EventEngine(stations, profile, capture, control, heard, ap_hears,
-                         duration_us, slot_log=slot_log)
+                         scenario.duration_us, slot_log=slot_log)
     return engine.run()
 
 
@@ -235,6 +234,7 @@ def _apply_axis(base: Scenario, axis: str, value) -> Scenario:
 
 SUMMARY_HEADER = "scenario,seed,station,snr_db,throughput_mbps,jfi"
 TRACE_HEADER = "t_ms,node,p_obs,p_own,error,cw_real,cw_quantized"
+SLOT_TRACE_HEADER = "t_us,station,decoded,overlaps,retry"
 
 
 def _fmt(x) -> str:
@@ -243,6 +243,18 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.6f}"
     return str(x)
+
+
+def slot_trace_writer(fh):
+    """Write the slot-trace header to `fh` and return a `slot_log` that
+    writes one row per FrameRecord."""
+    fh.write(SLOT_TRACE_HEADER + "\n")
+
+    def write(frame: FrameRecord) -> None:
+        fh.write(f"{frame.start_us},sta{frame.station},{int(frame.decoded)},"
+                 f"{frame.overlaps},{int(frame.retry)}\n")
+
+    return write
 
 
 def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:

@@ -1,8 +1,10 @@
-"""Slotted channel-access engine for a single collision domain.
+"""Station MAC state, capture, traffic, and the slotted channel step for a
+single collision domain.
 
-All stations share one slot clock, which is exact when every station hears
-every other (the hearing matrix is complete). Scenarios with hidden stations
-run on the continuous-time engine in `eventmac` instead.
+In the slotted engine all stations share one slot clock, which is exact
+when every station hears every other (the hearing matrix is complete).
+Scenarios with hidden stations run on the continuous-time engine in
+`eventmac` instead.
 """
 
 from __future__ import annotations
@@ -34,15 +36,6 @@ class CaptureModel:
             raise ValueError(f"unknown capture mode {self.mode!r}")
         if self.mode == "threshold" and self.threshold_db <= 0:
             raise ValueError("capture threshold must be positive")
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    kind: str                         # "idle" | "success" | "collision" | "capture-success"
-    transmitters: frozenset[int]
-    decoded: int | None
-    duration: float                   # [us]
-    decoded_retry_flag: bool | None = None   # flag of the decoded frame at tx time
 
 
 def resolve_capture(snr_by_station: dict[int, float],
@@ -124,7 +117,6 @@ class Station:
         self.counters = BeaconCounters()
         self.dropped_this_interval = 0
         # Whole-run accounting over *resolved* frames.
-        self.unique_frames_sent = 0
         self.frames_dropped_retry = 0
         self.attempts_resolved = 0
         self.delivered_bytes = 0
@@ -164,7 +156,6 @@ class Station:
 
     def resolve_success(self, now_us: int) -> None:
         self.counters.successes_cumulative += 1
-        self.unique_frames_sent += 1
         self.attempts_resolved += self._frame_attempts
         self.delivered_bytes += self.payload_bytes
         self._finish_frame(now_us)
@@ -180,7 +171,6 @@ class Station:
     def resolve_drop(self, now_us: int) -> None:
         self.dropped_this_interval += 1
         self.frames_dropped_retry += 1
-        self.unique_frames_sent += 1
         self.attempts_resolved += self._frame_attempts
         self._finish_frame(now_us)
 
@@ -204,111 +194,50 @@ class Station:
         self.dropped_this_interval = 0
 
 
-def run_slot(stations: list[Station], capture: CaptureModel,
-             profile: PhyProfile, now_us: int = 0) -> SlotOutcome:
-    """Advance the shared channel by one slot event.
 
-    Stations whose backoff counter is zero transmit. No transmitter: an idle
-    slot elapses and every backlogged counter decrements. One transmitter:
-    success. Several: a collision, unless the capture model decodes a winner;
-    losers follow the plain collision path either way (window doubling, retry
-    flag, retry-limit drop with window reset).
+
+def run_slot(stations: list[Station], capture: CaptureModel, profile: PhyProfile,
+             ap_counters: BeaconCounters, now_us: int = 0, log_frame=None) -> float:
+    """Resolve one busy channel event and return its duration [us].
+
+    The stations whose backoff counter is zero transmit; the caller makes
+    sure there is at least one. One transmitter: success. Several: a
+    collision, unless the capture model decodes a winner; losers follow the
+    plain collision path either way (window doubling, retry flag,
+    retry-limit drop with window reset). The decoded frame reaches the AP
+    and the sniffer of every station that did not transmit (a transmitter
+    cannot receive). When given, `log_frame(start_us, station, decoded,
+    overlaps, retry)` is called once per transmitted frame.
     """
     transmitters = [s for s in stations if s.backlogged and s.backoff_counter == 0]
-
-    if not transmitters:
-        for s in stations:
-            if s.backlogged and s.backoff_counter > 0:
-                s.backoff_counter -= 1
-        return SlotOutcome(kind="idle", transmitters=frozenset(),
-                           decoded=None, duration=float(profile.slot_time))
-
     for s in transmitters:
         s.note_attempt()
 
     if len(transmitters) == 1:
-        winner, losers = transmitters[0], []
-        kind = "success"
-        duration = success_duration(profile, winner.payload_bytes)
+        winner = transmitters[0]
     else:
         winner_id = resolve_capture({s.id: s.snr_db for s in transmitters}, capture)
-        if winner_id is None:
-            longest = max(s.payload_bytes for s in transmitters)
-            duration = collision_duration(profile, longest)
-            end = now_us + int(round(duration))
-            for s in transmitters:
-                if s.resolve_failure():
-                    s.resolve_drop(end)
-            return SlotOutcome(kind="collision",
-                               transmitters=frozenset(s.id for s in transmitters),
-                               decoded=None, duration=duration)
-        winner = next(s for s in transmitters if s.id == winner_id)
-        losers = [s for s in transmitters if s.id != winner_id]
-        kind = "capture-success"
+        winner = next((s for s in transmitters if s.id == winner_id), None)
+
+    if winner is None:
+        longest = max(s.payload_bytes for s in transmitters)
+        duration = collision_duration(profile, longest)
+    else:
         duration = success_duration(profile, winner.payload_bytes)
+        flag = winner.retry_flag
+        ap_counters.observe_frame(flag)
+        for s in stations:
+            if s not in transmitters:
+                s.counters.observe_frame(flag)
 
-    flag = winner.retry_flag
+    if log_frame is not None:
+        for s in transmitters:
+            log_frame(now_us, s.id, s is winner, len(transmitters) - 1, s.retry_flag)
+
     end = now_us + int(round(duration))
-    winner.resolve_success(end)
-    for s in losers:
-        if s.resolve_failure():
+    for s in transmitters:
+        if s is winner:
+            s.resolve_success(end)
+        elif s.resolve_failure():
             s.resolve_drop(end)
-    return SlotOutcome(kind=kind,
-                       transmitters=frozenset(s.id for s in transmitters),
-                       decoded=winner.id, duration=duration,
-                       decoded_retry_flag=flag)
-
-
-@dataclass
-class IntervalRecord:
-    """Per-node controller/estimator snapshot emitted each beacon interval."""
-
-    t_ms: int
-    node: str
-    p_obs: float | None
-    p_own: float | None
-    error: float | None
-    cw_real: float | None
-    cw_quantized: int | None
-
-
-@dataclass
-class RunResult:
-    duration_us: int
-    delivered_bytes: dict[int, int]
-    throughput_mbps: dict[int, float]
-    total_mbps: float
-    records: list[IntervalRecord]
-    transfer_delays_us: dict[int, list[int]]
-    drops: dict[int, int]
-    attempts: dict[int, int]
-    successes: dict[int, int]
-    retries: dict[int, int]
-    sniffed_flags: dict[int, tuple[int, int]]   # whole-run (r0, r1) per vantage
-    snr_db: dict[int, float]                    # link SNR each station ran with
-
-    @classmethod
-    def from_stations(cls, stations: list[Station], records: list[IntervalRecord],
-                      duration_us: int) -> RunResult:
-        """Whole-run totals read off the stations' accounting."""
-        thr = {s.id: 8.0 * s.delivered_bytes / duration_us for s in stations}
-        return cls(
-            duration_us=duration_us,
-            delivered_bytes={s.id: s.delivered_bytes for s in stations},
-            throughput_mbps=thr,
-            total_mbps=sum(thr.values()),
-            records=records,
-            transfer_delays_us={s.id: list(s.traffic.transfer_delays_us)
-                                for s in stations},
-            drops={s.id: s.frames_dropped_retry for s in stations},
-            attempts={s.id: s.attempts_resolved for s in stations},
-            successes={s.id: s.counters.successes_cumulative for s in stations},
-            retries={s.id: s.counters.failures_cumulative for s in stations},
-            sniffed_flags={s.id: (s.counters.r0_total, s.counters.r1_total)
-                           for s in stations},
-            snr_db={s.id: s.snr_db for s in stations},
-        )
-
-    @property
-    def station_ids(self) -> list[int]:
-        return sorted(self.throughput_mbps)
+    return duration

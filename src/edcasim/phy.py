@@ -58,6 +58,9 @@ class PhyProfile:
         return self.sifs + self.ack_duration + self.slot_time
 
 
+MAX_MSDU_BYTES = 2304   # 802.11 MSDU payload maximum
+
+
 @dataclass(frozen=True)
 class FrameSpec:
     """A data frame as the MAC sees it."""
@@ -90,30 +93,6 @@ def success_duration(profile: PhyProfile, payload: int) -> float:
 def data_airtime(profile: PhyProfile, payload: int) -> int:
     """On-air duration of the data frame alone, rounded up to whole us."""
     return int(math.ceil(profile.t_plcp + 8.0 * payload / profile.bit_rate))
-
-
-def expected_collision_length(tau: float, payloads: list[int]) -> float:
-    """Expected length of the longest frame involved in a collision.
-
-    `tau` is the common per-slot transmission probability; `payloads` must be
-    sorted ascending, one entry per station (at least two). The expectation is
-    conditioned on a collision (>= 2 simultaneous transmitters) occurring.
-    """
-    n = len(payloads)
-    if n < 2:
-        raise ValueError("a collision needs at least 2 stations")
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must be in (0, 1)")
-    if any(payloads[i] > payloads[i + 1] for i in range(n - 1)):
-        raise ValueError("payloads must be sorted ascending")
-    q = 1.0 - tau
-    # P(station i is the longest transmitter of a collision):
-    # i transmits, someone shorter also transmits, nobody longer does.
-    p_c = 1.0 - q ** n - n * tau * q ** (n - 1)
-    acc = 0.0
-    for i in range(1, n + 1):
-        acc += tau * (1.0 - q ** (i - 1)) * q ** (n - i) * payloads[i - 1]
-    return acc / p_c
 
 
 # Built-in profiles. Values for "80211a-24mbps" follow the OFDM PHY with

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from .engine import CONTROLLERS
 from .estimators import MIN_POBS_SAMPLES
 from .mac import CAPTURE_MODES, TRAFFIC_KINDS
-from .phy import BUILTIN_PROFILES, PhyProfile, get_profile, is_pow2
+from .phy import BUILTIN_PROFILES, MAX_MSDU_BYTES, PhyProfile, get_profile, is_pow2
 
 
 class ConfigError(ValueError):
@@ -55,6 +55,11 @@ class Scenario:
     def n_stations(self) -> int:
         return len(self.snr_db)
 
+    @property
+    def duration_us(self) -> int:
+        """The run length in whole microseconds, rounded once."""
+        return round(self.duration_s * 1e6)
+
     def phy(self) -> PhyProfile:
         return get_profile(self.profile)
 
@@ -91,10 +96,14 @@ class Scenario:
         if self.replications < 1:
             raise ConfigError("replications", "must be >= 1")
         phy = self.phy()
-        if self.duration_s * 1e6 < 10 * phy.beacon_interval:
+        if self.duration_us < 10 * phy.beacon_interval:
             raise ConfigError("duration_s", "must span at least 10 beacon intervals")
-        if self.payload_bytes < 1:
-            raise ConfigError("payload_bytes", "must be positive")
+        if self.duration_us % phy.beacon_interval:
+            raise ConfigError("duration_s", "must be a whole number of beacon "
+                              f"intervals ({phy.beacon_interval / 1e6:g} s)")
+        if not 1 <= self.payload_bytes <= MAX_MSDU_BYTES:
+            raise ConfigError("payload_bytes",
+                              f"must be 1..{MAX_MSDU_BYTES} (the 802.11 MSDU maximum)")
         if self.traffic == "onoff":
             if self.burst_bytes < self.payload_bytes:
                 raise ConfigError("burst_bytes", "must hold at least one frame")

@@ -7,8 +7,12 @@ from edcasim.controllers import (ControllerState, OptimalPoint, PiGains, cac_err
                                  cac_step, compute_gains, compute_p_opt, dac_error,
                                  dac_step, effective_cw_max, initial_state,
                                  pi_update, quantize_cw)
-from edcasim.estimators import BeaconCounters
+from edcasim.engine import ControlPlane, run_slotted
+from edcasim.estimators import BeaconCounters, estimate_p_obs, estimate_p_own
+from edcasim.harness import _build_stations
+from edcasim.mac import CaptureModel
 from edcasim.phy import PROFILE_80211A_24, PhyProfile
+from edcasim.scenario import Scenario
 
 # Frozen from a 40-digit evaluation of the closed forms (see test docstrings).
 P_OPT_80211A_1500 = 0.15631646219011982
@@ -41,17 +45,6 @@ class TestOptimalPoint:
         exact = [pt.p_col_exact(n) for n in (5, 20, 100, 1000)]
         assert exact == sorted(exact)
         assert exact[-1] == pytest.approx(pt.p_opt, abs=0.01)
-
-    def test_heterogeneous_payload_path_composes(self):
-        # mixed frame sizes: the expected longest collision length feeds the
-        # same computation and lands between the pure-payload extremes
-        from edcasim.phy import expected_collision_length
-        e_len = expected_collision_length(0.05, [500, 1000, 1500])
-        mixed = compute_p_opt(PROFILE_80211A_24, e_len)
-        lo = compute_p_opt(PROFILE_80211A_24, 1500)
-        hi = compute_p_opt(PROFILE_80211A_24, 500)
-        assert lo.p_opt < mixed.p_opt < hi.p_opt
-        assert 500 < e_len < 1500
 
 
 class TestGains:
@@ -226,13 +219,15 @@ class TestSteps:
 
     def test_cac_defer_rebroadcasts(self):
         state = make_state(cw_real=128.0)
-        new, cw = cac_step(BeaconCounters(r0=5, r1=1), state, self.P_OPT)
+        p_obs = estimate_p_obs(BeaconCounters(r0=5, r1=1))
+        assert p_obs is None
+        new, cw = cac_step(p_obs, state, self.P_OPT)
         assert new is state and cw == 128
 
     def test_cac_cold_start_rises_under_collisions(self):
         state = initial_state(PiGains(25.3, 14.9, 6), 16, 1024)
         counters = BeaconCounters(r0=50, r1=50)   # p_obs = 0.5 >> p_opt
-        new, cw = cac_step(counters, state, self.P_OPT)
+        new, cw = cac_step(estimate_p_obs(counters), state, self.P_OPT)
         assert new.cw_real > state.cw_real
         assert cw >= state.cw_quantized
 
@@ -240,7 +235,9 @@ class TestSteps:
         state = make_state(cw_real=64.0)
         # plenty of sniffed frames but no own attempts
         counters = BeaconCounters(r0=80, r1=20)
-        new = dac_step(counters, state, self.P_OPT, max_retry=7)
+        p_own = estimate_p_own(counters, max_retry=7)
+        assert p_own is None
+        new = dac_step(estimate_p_obs(counters), p_own, state, self.P_OPT)
         assert new is state
 
     def test_dac_station_alone_decays_to_floor(self):
@@ -251,8 +248,26 @@ class TestSteps:
         for _ in range(10):
             counters = BeaconCounters(r0=100, r1=0,
                                       successes_cumulative=100)
-            state = dac_step(counters, state, self.P_OPT, max_retry=7)
+            state = dac_step(estimate_p_obs(counters),
+                             estimate_p_own(counters, max_retry=7),
+                             state, self.P_OPT)
             assert state.cw_real == 16.0 and state.cw_quantized == 16
+
+
+class TestWindowBoundHits:
+    @pytest.mark.parametrize("controller,hits", [("cac", 20), ("dac", 80)])
+    def test_every_step_at_a_bound_counts(self, controller, hits):
+        # Estimates never trusted: every window stays at the floor of 16 for
+        # all 20 intervals, so each step counts: CAC's one window per
+        # interval, DAC's four.
+        sc = Scenario(snr_db=(30.0,) * 4, controller=controller, duration_s=2.0,
+                      replications=1, seed=3, defer_min_samples=10 ** 9)
+        stations = _build_stations(sc, sc.seed)
+        control = ControlPlane(controller, [s.id for s in stations], sc.phy(),
+                               0.16, sc.defer_min_samples)
+        run_slotted(stations, sc.phy(), CaptureModel(), control, sc.duration_us)
+        assert all(s.cw_min_current == 16 for s in stations)
+        assert control.cw_cap_hits == hits
 
 
 class TestEffectiveCwMax:

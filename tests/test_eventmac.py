@@ -89,14 +89,13 @@ def _run_both_engines(sc):
         stations = _build_stations(sc, sc.seed)
         control = ControlPlane(sc.controller, [s.id for s in stations],
                                profile, point.p_opt)
-        duration_us = int(sc.duration_s * 1e6)
         if engine == "slotted":
             results[engine] = run_slotted(stations, profile, capture,
-                                          control, duration_us)
+                                          control, sc.duration_us)
         else:
             heard = {i: {0, *ids} for i in ids}
             results[engine] = EventEngine(stations, profile, capture, control,
-                                          heard, set(ids), duration_us).run()
+                                          heard, set(ids), sc.duration_us).run()
     return results["slotted"], results["event"]
 
 

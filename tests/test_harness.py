@@ -4,10 +4,12 @@ import math
 import pytest
 
 from edcasim.cli import main as cli_main
-from edcasim.harness import (SUMMARY_HEADER, TRACE_HEADER, _build_stations,
-                             emit_outputs, jain_index, pearson_r, run_experiment,
-                             sweep)
-from edcasim.scenario import ConfigError, Scenario, get_preset, load_scenario
+from edcasim.engine import FrameRecord
+from edcasim.harness import (SLOT_TRACE_HEADER, SUMMARY_HEADER, TRACE_HEADER,
+                             _build_stations, emit_outputs, jain_index, pearson_r,
+                             run_experiment, sweep)
+from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
+                              load_scenario)
 
 
 def tiny_scenario(**kw):
@@ -114,16 +116,20 @@ class TestExperiment:
                                             sc.seed))
 
     def test_slot_log_reaches_both_engines(self):
-        events = []
-        run_experiment(tiny_scenario(replications=1, duration_s=1.0),
-                       slot_log=lambda t, e: events.append((t, e)))
-        assert events
+        frames = []
+        run = run_experiment(tiny_scenario(replications=1, duration_s=1.0),
+                             slot_log=frames.append).runs[0]
+        assert frames and all(type(f) is FrameRecord for f in frames)
+        # one record per transmitted frame: the slotted engine decodes
+        # exactly the successes, and retransmissions are the retries
+        assert sum(f.decoded for f in frames) == sum(run.successes.values())
+        assert sum(f.retry for f in frames) == sum(run.retries.values())
         hidden = Scenario(snr_db=(31.0, 30.0), controller="edca-static",
                           duration_s=1.0, replications=1, seed=2,
                           hidden_pairs=((1, 2),), name="hlog")
-        events_h = []
-        run_experiment(hidden, slot_log=lambda t, e: events_h.append((t, e)))
-        assert events_h and all(isinstance(e, str) for _, e in events_h)
+        frames_h = []
+        run_experiment(hidden, slot_log=frames_h.append)
+        assert frames_h and all(type(f) is FrameRecord for f in frames_h)
 
 
 class TestSweep:
@@ -182,7 +188,7 @@ class TestOutputs:
         assert len(summary) == 1 + sc.replications * sc.n_stations
         trace = open(paths["trace.csv"]).read().splitlines()
         assert trace[0] == TRACE_HEADER
-        intervals = int(sc.duration_s * 1e6) // sc.phy().beacon_interval
+        intervals = sc.duration_us // sc.phy().beacon_interval
         assert len(trace) == 1 + intervals * (sc.n_stations + 1)
 
     def test_lock_round_trip_reproduces_summary(self, tmp_path):
@@ -255,6 +261,26 @@ class TestCli:
         f.write_text("snr_db = 30, 30\nduration_s = 1\ncontroller = cac\n"
                      "replications = 1\nname = filetest\n")
         assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("preset,capture", [("fig7_udp_total", True),
+                                                ("fig10_hidden", False)])
+    def test_slot_trace_is_one_format_on_both_engines(self, tmp_path, preset,
+                                                      capture):
+        # fig7 runs the slotted engine, fig10 the event engine
+        sc = dataclasses.replace(get_preset(preset), duration_s=1.0,
+                                 replications=1)
+        cfg, trace = tmp_path / "s.cfg", tmp_path / "frames.csv"
+        cfg.write_text(emit_scenario(sc))
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o"),
+                         "--slot-trace", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        assert lines[0] == SLOT_TRACE_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert rows and all(len(r) == 5 and r[1].startswith("sta") for r in rows)
+        overlapped = [r for r in rows if int(r[3]) > 0]
+        assert overlapped
+        # a captured frame is a decoded row that other frames overlapped
+        assert any(r[2] == "1" for r in overlapped) == capture
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.cfg"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from edcasim.controllers import compute_p_opt
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
+from edcasim.estimators import BeaconCounters
 from edcasim.harness import run_once
 from edcasim.mac import (CAPTURE_MODES, CaptureModel, Station, TrafficSource,
                          resolve_capture, run_slot)
@@ -50,39 +51,33 @@ class TestRunSlot:
     def test_simultaneous_zero_counters_collide(self):
         a, b = make_station(1), make_station(2)
         a.backoff_counter = b.backoff_counter = 0
-        out = run_slot([a, b], NO_CAPTURE, PROFILE)
-        assert out.kind == "collision"
-        assert out.transmitters == {1, 2}
+        ap = BeaconCounters()
+        duration = run_slot([a, b], NO_CAPTURE, PROFILE, ap)
         assert a.retry_flag and b.retry_flag
         assert a.retry_count == 1 and b.retry_count == 1
         assert a.current_cw() == 32 and b.current_cw() == 32
-        assert out.duration == pytest.approx(623.0)
+        assert duration == pytest.approx(623.0)
+        assert ap.r0_total + ap.r1_total == 0    # nothing decoded
 
     def test_single_transmitter_succeeds_other_frozen(self):
         a, b = make_station(1), make_station(2)
         a.backoff_counter, b.backoff_counter = 0, 3
-        out = run_slot([a, b], NO_CAPTURE, PROFILE)
-        assert out.kind == "success" and out.decoded == 1
+        ap = BeaconCounters()
+        run_slot([a, b], NO_CAPTURE, PROFILE, ap)
         assert b.backoff_counter == 3          # frozen during the busy event
         assert a.retry_count == 0
         assert a.counters.successes_cumulative == 1
-        idle = run_slot([a, b], NO_CAPTURE, PROFILE)
-        assert idle.kind == "idle"
-        assert b.backoff_counter == 2          # resumed on the idle slot
-
-    def test_idle_slot_decrements_backlogged(self):
-        a, b = make_station(1), make_station(2)
-        a.backoff_counter, b.backoff_counter = 2, 5
-        out = run_slot([a, b], NO_CAPTURE, PROFILE)
-        assert out.kind == "idle"
-        assert (a.backoff_counter, b.backoff_counter) == (1, 4)
-        assert out.duration == PROFILE.slot_time
+        # the AP and the listening station sniff the frame; its sender does not
+        assert ap.r0_total == b.counters.r0_total == 1
+        assert a.counters.r0_total == 0
 
     def test_capture_winner_decoded_loser_penalized_like_collision(self):
         a, b = make_station(1, snr=40.0), make_station(2, snr=20.0)
         a.backoff_counter = b.backoff_counter = 0
-        out = run_slot([a, b], CaptureModel("threshold", 10.0), PROFILE)
-        assert out.kind == "capture-success" and out.decoded == 1
+        frames = []
+        run_slot([a, b], CaptureModel("threshold", 10.0), PROFILE,
+                 BeaconCounters(), 500, lambda *f: frames.append(f))
+        assert frames == [(500, 1, True, 1, False), (500, 2, False, 1, False)]
         assert a.counters.successes_cumulative == 1 and a.retry_count == 0
         # the loser's bookkeeping matches the pure-collision path
         assert b.retry_flag and b.retry_count == 1 and b.current_cw() == 32
@@ -92,7 +87,7 @@ class TestRunSlot:
         a.retry_count = PROFILE.max_retry
         a._frame_attempts = PROFILE.max_retry
         a.backoff_counter = b.backoff_counter = 0
-        run_slot([a, b], NO_CAPTURE, PROFILE)
+        run_slot([a, b], NO_CAPTURE, PROFILE, BeaconCounters())
         assert a.frames_dropped_retry == 1
         assert a.retry_count == 0 and a.current_cw() == 16
         assert a.dropped_this_interval == 1
@@ -136,8 +131,6 @@ class TestInvariants:
                                PROFILE, point.p_opt)
         run_slotted(stations, PROFILE, NO_CAPTURE, control, 2_000_000)
         for s in stations:
-            assert s.unique_frames_sent == s.counters.successes_cumulative \
-                + s.frames_dropped_retry
             retries = s.counters.failures_cumulative
             assert s.attempts_resolved == s.counters.successes_cumulative \
                 + retries + s.frames_dropped_retry
@@ -145,18 +138,21 @@ class TestInvariants:
     def test_retry_flag_soundness(self):
         # every decoded first-attempt frame carries flag 0, retransmissions 1
         stations = [make_station(i, seed=5) for i in range(1, 5)]
-        observed = []
         point = compute_p_opt(PROFILE, 1500)
         control = ControlPlane("edca-static", [s.id for s in stations],
                                PROFILE, point.p_opt)
-        by_id = {s.id: s for s in stations}
+        failed = {s.id: 0 for s in stations}   # failed attempts of the current frame
         flags = []
 
-        def log(t, outcome):
-            if outcome.kind in ("success", "capture-success"):
-                flags.append(outcome.decoded_retry_flag)
-                # after resolution the winner's retry count must be reset
-                assert by_id[outcome.decoded].retry_count == 0
+        def log(frame):
+            # a retransmission iff the station's last attempt failed short of a drop
+            assert frame.retry == (failed[frame.station] > 0)
+            if frame.decoded:
+                flags.append(frame.retry)
+                failed[frame.station] = 0
+            else:
+                failed[frame.station] = (failed[frame.station] + 1) \
+                    % (PROFILE.max_retry + 1)
 
         run_slotted(stations, PROFILE, NO_CAPTURE, control, 1_000_000,
                     slot_log=log)

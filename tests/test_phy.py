@@ -1,12 +1,9 @@
 import math
-import random
-from itertools import product
 
 import pytest
 
 from edcasim.phy import (FrameSpec, PhyProfile, PROFILE_80211A_24,
-                         collision_duration, expected_collision_length,
-                         get_profile, success_duration)
+                         collision_duration, get_profile, success_duration)
 
 
 def zero_overhead_profile(**kw):
@@ -86,56 +83,3 @@ class TestDurations:
             collision_duration(PROFILE_80211A_24, 0)
         with pytest.raises(ValueError):
             success_duration(PROFILE_80211A_24, -5)
-
-
-def brute_force_longest(tau, payloads):
-    """Exhaustive enumeration over all transmission outcomes with >= 2 senders."""
-    num = den = 0.0
-    for bits in product((0, 1), repeat=len(payloads)):
-        if sum(bits) < 2:
-            continue
-        w = 1.0
-        for b in bits:
-            w *= tau if b else (1.0 - tau)
-        num += w * max(l for l, b in zip(payloads, bits) if b)
-        den += w
-    return num / den
-
-
-class TestExpectedCollisionLength:
-    def test_homogeneous_exact(self):
-        for tau in (0.01, 0.2, 0.9):
-            assert expected_collision_length(tau, [1500] * 5) == pytest.approx(1500.0)
-
-    def test_two_stations_longer_packet_wins(self):
-        # only possible collision is both transmitting
-        assert expected_collision_length(0.5, [500, 1500]) == pytest.approx(1500.0)
-
-    def test_three_stations_matches_enumeration(self):
-        got = expected_collision_length(0.2, [500, 1000, 1500])
-        assert got == pytest.approx(brute_force_longest(0.2, [500, 1000, 1500]))
-        # frozen from a high-precision evaluation of the same enumeration
-        assert got == pytest.approx(1346.1538461538, abs=1e-6)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_random_cases_match_enumeration(self, n):
-        rng = random.Random(42 + n)
-        for _ in range(20):
-            tau = rng.uniform(0.02, 0.95)
-            payloads = sorted(rng.randrange(40, 2400) for _ in range(n))
-            got = expected_collision_length(tau, payloads)
-            assert got == pytest.approx(brute_force_longest(tau, payloads), rel=1e-9)
-
-    def test_homogeneous_independent_of_tau(self):
-        rng = random.Random(7)
-        values = {round(expected_collision_length(rng.uniform(0.01, 0.99), [800] * 4), 9)
-                  for _ in range(50)}
-        assert values == {800.0}
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            expected_collision_length(0.5, [1500])          # < 2 stations
-        with pytest.raises(ValueError):
-            expected_collision_length(0.0, [500, 1500])     # tau out of range
-        with pytest.raises(ValueError):
-            expected_collision_length(0.5, [1500, 500])     # not ascending

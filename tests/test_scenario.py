@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from edcasim.engine import CONTROLLERS
+from edcasim.harness import run_once
 from edcasim.mac import CAPTURE_MODES
 from edcasim.phy import BUILTIN_PROFILES
 from edcasim.scenario import (_FORMAT, PRESETS, ConfigError, Scenario, emit_scenario,
@@ -93,6 +94,10 @@ class TestValidation:
         (dict(name="a#b"), "name"),
         (dict(name="two\nlines"), "name"),
         (dict(name=" padded"), "name"),
+        (dict(duration_s=4.05), "duration_s"),
+        (dict(duration_s=12.00001), "duration_s"),
+        (dict(payload_bytes=2305), "payload_bytes"),
+        (dict(payload_bytes=9000), "payload_bytes"),
     ])
     def test_field_errors(self, kw, field):
         with pytest.raises(ConfigError) as err:
@@ -104,6 +109,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="asymmetric"):
             sc.validate()
         sample_scenario(hidden_links=((1, 2),), allow_asymmetric=True).validate()
+
+    def test_duration_rounds_once_to_whole_intervals(self):
+        # 4.1 * 1e6 is 4099999.9999999995: truncating it ran 40 intervals
+        sc = Scenario(snr_db=(30.0, 30.0), controller="edca-static",
+                      duration_s=4.1, replications=1, name="d41")
+        assert sc.duration_us == 4_100_000
+        assert run_once(sc, 0).duration_us == 4_100_000
 
     def test_cw_bounds_resolve_overrides(self):
         assert sample_scenario().cw_bounds() == (16, 1024)
@@ -137,7 +149,7 @@ def scenarios(draw):
         profile=draw(st.sampled_from(sorted(BUILTIN_PROFILES))),
         controller=draw(st.sampled_from(CONTROLLERS)),
         payload_bytes=payload,
-        duration_s=draw(st.floats(min_value=1.0, max_value=1e5)),
+        duration_s=draw(st.integers(10, 10 ** 6)) / 10,   # whole intervals
         replications=draw(st.integers(1, 10)),
         seed=draw(st.integers()),
         capture_mode=draw(st.sampled_from(CAPTURE_MODES)),
