@@ -4,6 +4,7 @@ they produce, and the slotted simulation loop for fully connected topologies.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -169,6 +170,16 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
                 duration_us: int, slot_log=None) -> RunResult:
     """Simulate a fully connected WLAN for a whole number of beacon intervals.
 
+    Every backlogged counter drops by one in each idle slot and freezes
+    while the channel is busy, so the loop keeps one count of elapsed idle
+    slots and a heap of each backlogged station's fire slot: the count at
+    its draw plus the drawn counter. A station transmits when the count
+    reaches its fire slot. Every station that does not transmit sniffs
+    exactly the frames the AP decodes, so each station keeps only the AP's
+    decoded flags of its own transmit events (`missed`), and its tallies are
+    read off the AP's at each beacon. Both make a channel event cost
+    O(transmitters); only the on/off activation scan is O(n) per event.
+
     `slot_log`, when given, receives a FrameRecord for every data frame.
     """
     ap_counters = BeaconCounters()
@@ -185,8 +196,24 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     interval_idx = 0
     onoff = any(s.traffic.kind == "onoff" for s in stations)
 
+    idle = 0   # idle slots elapsed since the start of the run
+    # (fire slot, station id, station): ties go in id order, the order of
+    # `stations`, so each event resolves and logs its transmitters in order.
+    fires = [(s.backoff_counter, s.id, s) for s in stations if s.backlogged]
+    heapq.heapify(fires)
+    # Per station id: the AP's (r0, r1) gains this interval during the
+    # station's own transmissions, which its sniffer missed.
+    missed = {s.id: [0, 0] for s in stations}
+
     while interval_idx < n_intervals:
         if t >= next_beacon:
+            for s in stations:
+                c, m = s.counters, missed[s.id]
+                c.r0 = ap_counters.r0 - m[0]
+                c.r1 = ap_counters.r1 - m[1]
+                c.r0_total += c.r0
+                c.r1_total += c.r1
+                m[0] = m[1] = 0
             records.extend(control.beacon_update(next_beacon // 1000,
                                                  stations, ap_counters))
             t += profile.beacon_airtime + profile.aifs
@@ -196,29 +223,47 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
 
         if onoff:
             for s in stations:
-                s.maybe_activate(t)
+                if not s.backlogged:
+                    s.maybe_activate(t)
+                    if s.backlogged:
+                        heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
 
-        backlogged = [s for s in stations if s.backlogged]
-        if not backlogged:
+        if not fires:
             pending = [s.traffic.arrival_us for s in stations
                        if s.traffic.arrival_us is not None]
             t = min([next_beacon] + [a for a in pending if a > t])
             continue
 
-        min_counter = min(s.backoff_counter for s in backlogged)
-        if min_counter > 0:
-            jump = min(min_counter, max(1, math.ceil((next_beacon - t) / slot)))
+        wait = fires[0][0] - idle
+        if wait > 0:
+            jump = min(wait, max(1, math.ceil((next_beacon - t) / slot)))
             if onoff:
                 arrivals = [s.traffic.arrival_us for s in stations
                             if not s.backlogged and s.traffic.arrival_us is not None]
                 if arrivals:
                     jump = min(jump, max(1, math.ceil((min(arrivals) - t) / slot)))
-            for s in backlogged:
-                s.backoff_counter -= jump
+            idle += jump
             t += jump * slot
             continue
 
-        t += int(round(run_slot(stations, capture, profile, ap_counters, t, log_frame)))
+        transmitters = []
+        while fires and fires[0][0] == idle:
+            s = heapq.heappop(fires)[2]
+            s.backoff_counter = 0
+            transmitters.append(s)
+        r0, r1 = ap_counters.r0, ap_counters.r1
+        t += int(round(run_slot(transmitters, capture, profile, ap_counters, t,
+                                log_frame)))
+        d0, d1 = ap_counters.r0 - r0, ap_counters.r1 - r1
+        for s in transmitters:
+            if d0 or d1:
+                m = missed[s.id]
+                m[0] += d0
+                m[1] += d1
+            if s.backlogged:
+                heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
 
+    for fire, _, s in fires:
+        s.backoff_counter = fire - idle
     return RunResult.from_stations(stations, records,
                                    n_intervals * profile.beacon_interval)

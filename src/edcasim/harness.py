@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .controllers import compute_p_opt
@@ -158,13 +157,18 @@ def run_experiment(scenario: Scenario, jobs: int = 1,
 
     Results are reduced in replication order regardless of completion order,
     so the output is identical for any job count. A slot_log callback, when
-    given, traces the first replication only.
+    given, traces the first replication only; with several jobs, that
+    replication runs in this process while the pool runs the others.
     """
     scenario.validate()
     reps = list(range(scenario.replications))
-    if jobs > 1 and len(reps) > 1 and slot_log is None:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_run_once_star, [(scenario, r) for r in reps]))
+    if jobs > 1 and len(reps) > 1:
+        # Imported here: it is a third of the package's import time, and
+        # serial runs never need it.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(jobs, len(reps) - 1)) as pool:
+            rest = pool.map(_run_once_star, [(scenario, r) for r in reps[1:]])
+            runs = [run_once(scenario, 0, slot_log=slot_log), *rest]
     else:
         runs = [run_once(scenario, r, slot_log=slot_log if r == 0 else None)
                 for r in reps]

@@ -206,8 +206,9 @@ def run_slot(stations: list[Station], capture: CaptureModel, profile: PhyProfile
     plain collision path either way (window doubling, retry flag,
     retry-limit drop with window reset). The decoded frame reaches the AP
     and the sniffer of every station that did not transmit (a transmitter
-    cannot receive). When given, `log_frame(start_us, station, decoded,
-    overlaps, retry)` is called once per transmitted frame.
+    cannot receive); the slotted loop passes only the transmitters and
+    credits the other sniffers itself. When given, `log_frame(start_us,
+    station, decoded, overlaps, retry)` is called once per transmitted frame.
     """
     transmitters = [s for s in stations if s.backlogged and s.backoff_counter == 0]
     for s in transmitters:

@@ -51,6 +51,16 @@ def fig10(request):
 
 
 @pytest.fixture(scope="module")
+def fig10_doubling(request):
+    """fig10_hidden on the standard doubling MAC: edca-static at CW_min =
+    cw_floor with binary exponential backoff."""
+    hidden = get_preset("fig10_hidden")
+    return run_experiment(dataclasses.replace(
+        hidden, controller="edca-static", static_beb=True,
+        static_cw=hidden.phy().cw_floor))
+
+
+@pytest.fixture(scope="module")
 def fig5_run(request):
     return run_experiment(get_preset("fig5_cac_point_of_operation")).runs[0]
 
@@ -147,26 +157,33 @@ def test_c06_cac_decorrelation(fig9):
                   f"bound 0.3")
 
 
-def test_c07_hidden_cac_rescue(fig10):
+def test_c07_hidden_cac_rescue(fig10, fig10_doubling):
     static = fig10["edca-static"].total_mean()
     cac = fig10["cac"].total_mean()
     ok = cac >= 2.0 * static
+    # The fixed-window baseline starves, so the check alone says little; the
+    # report also sets CAC against the doubling MAC and shows how often its
+    # announced window sat at the ceiling.
+    doubling = fig10_doubling.total_mean()
+    ceiling = fig10["cac"].scenario.cw_bounds()[1]
+    ap = [rec for run in fig10["cac"].runs for rec in run.records
+          if rec.node == "ap"]
+    at_ceiling = sum(rec.cw_quantized == ceiling for rec in ap) / len(ap)
     assert report("7a (hidden nodes: CAC rescue)", ok,
                   f"cac {cac:.2f} Mbps vs edca-static {static:.2f} Mbps "
-                  f"(needs >= 2x)")
+                  f"(needs >= 2x); doubling edca-static {doubling:.2f} Mbps, "
+                  f"cac/doubling {cac / doubling:.2f}; CAC window at the "
+                  f"ceiling {ceiling} in {at_ceiling:.0%} of AP intervals")
 
 
-def test_c07_hidden_dac_no_improvement(fig10):
+def test_c07_hidden_dac_no_improvement(fig10, fig10_doubling):
     # With nothing to sniff, DAC's p_obs estimator defers every interval, so
     # its window never leaves the floor and standard doubling stays on. "No
     # improvement" is therefore judged against that same un-adapted MAC, the
     # 802.11 standard configuration: edca-static at CW_min = cw_floor with
     # doubling. The fixed-window baseline of 7a starves here and is reported
     # only for reference; see the README.
-    hidden = get_preset("fig10_hidden")
-    doubling = run_experiment(dataclasses.replace(
-        hidden, controller="edca-static", static_beb=True,
-        static_cw=hidden.phy().cw_floor)).total_mean()
+    doubling = fig10_doubling.total_mean()
     fixed = fig10["edca-static"].total_mean()
     dac = fig10["dac"].total_mean()
     sta = [rec for run in fig10["dac"].runs for rec in run.records

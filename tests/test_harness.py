@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -130,6 +131,25 @@ class TestExperiment:
         frames_h = []
         run_experiment(hidden, slot_log=frames_h.append)
         assert frames_h and all(type(f) is FrameRecord for f in frames_h)
+
+    def test_slot_log_keeps_the_pool(self, monkeypatch):
+        # the traced first replication runs here, the others in the pool
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        sc = tiny_scenario(replications=3, duration_s=1.0)
+        traced, plain = [], []
+        par = run_experiment(sc, jobs=2, slot_log=traced.append)
+        seq = run_experiment(sc, jobs=1, slot_log=plain.append)
+        assert pools == [{"max_workers": 2}]
+        assert traced == plain and traced
+        assert par.throughput_matrix() == seq.throughput_matrix()
 
 
 class TestSweep:
@@ -281,6 +301,23 @@ class TestCli:
         assert overlapped
         # a captured frame is a decoded row that other frames overlapped
         assert any(r[2] == "1" for r in overlapped) == capture
+
+    @pytest.mark.parametrize("slot_trace", [False, True])
+    def test_run_outputs_identical_for_any_job_count(self, tmp_path, slot_trace):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(emit_scenario(tiny_scenario(replications=3, duration_s=1.0)))
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["run", str(cfg), "--out", str(out), "--jobs", jobs]
+            if slot_trace:
+                argv += ["--slot-trace", str(out / "frames.csv")]
+            assert cli_main(argv) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == sorted(
+            ["summary.csv", "trace.csv", "scenario.lock"]
+            + ["frames.csv"] * slot_trace)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.cfg"

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,8 @@ from edcasim.controllers import compute_p_opt
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
 from edcasim.estimators import BeaconCounters
 from edcasim.harness import run_once
-from edcasim.mac import (CAPTURE_MODES, CaptureModel, Station, TrafficSource,
-                         resolve_capture, run_slot)
+from edcasim.mac import (CAPTURE_MODES, TRAFFIC_KINDS, CaptureModel, Station,
+                         TrafficSource, resolve_capture, run_slot)
 from edcasim.oracle import solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario
@@ -248,6 +250,45 @@ class TestAccountingProperties:
             assert res.delivered_bytes[sid] == res.successes[sid] * sc.payload_bytes
 
 
+@st.composite
+def connected_scenarios(draw):
+    """Short fully connected runs (slotted engine), saturated or on/off."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    return Scenario(
+        snr_db=tuple(draw(st.lists(st.sampled_from((40.0, 35.0, 30.0, 25.0, 20.0)),
+                                   min_size=n, max_size=n))),
+        controller=draw(st.sampled_from(CONTROLLERS)),
+        capture_mode=draw(st.sampled_from(CAPTURE_MODES)),
+        static_beb=draw(st.booleans()),
+        traffic=draw(st.sampled_from(TRAFFIC_KINDS)),
+        burst_bytes=150_000, silent_mean_s=0.2,
+        duration_s=1.0, replications=1, seed=draw(st.integers(0, 10_000)),
+        name="prop")
+
+
+class TestSniffedTallies:
+    # In a fully connected cell a station's sniffer hears every frame the AP
+    # decodes, except during the channel events in which it transmits.
+    @settings(max_examples=12, deadline=None)
+    @given(connected_scenarios())
+    def test_sniffers_tally_the_decoded_frames_they_did_not_send(self, sc):
+        frames = []
+        res = run_once(sc, 0, slot_log=frames.append)
+        events = defaultdict(list)
+        for frame in frames:
+            events[frame.start_us].append(frame)
+        expected = {sid: [0, 0] for sid in res.station_ids}
+        for event in events.values():
+            sent = {frame.station for frame in event}
+            for frame in event:
+                if frame.decoded:
+                    for sid, tally in expected.items():
+                        if sid not in sent:
+                            tally[frame.retry] += 1
+        assert res.sniffed_flags == {sid: tuple(tally)
+                                     for sid, tally in expected.items()}
+
+
 class TestClosedLoop:
     @pytest.mark.parametrize("controller", ["cac", "dac"])
     @pytest.mark.parametrize("n", [5, 10, 20])
@@ -319,3 +360,149 @@ class TestOnOffTraffic:
         res = run_once(sc, 0)
         # throughput well below saturation because of silent periods
         assert 0.0 < res.total_mbps < 10.0
+
+
+# Exact whole-run output of short fully connected runs on the slotted engine:
+# per station in id order (attempts, successes, retries, drops,
+# delivered_bytes, sniffed_flags), then the number of trace records and the
+# SHA-256 of the repr of (records, transfer_delays_us).
+_SNR5 = (40.0, 35.0, 30.0, 25.0, 20.0)
+_SLOTTED_GOLDEN_SCENARIOS = {
+    "cac_beb_on": dict(snr_db=(30.0,) * 5, controller="cac", static_beb=True,
+                       seed=21),
+    "cac_beb_off": dict(snr_db=(30.0,) * 5, controller="cac", static_beb=False,
+                        seed=22),
+    "dac_beb_on": dict(snr_db=_SNR5, controller="dac", static_beb=True, seed=23),
+    "dac_beb_off": dict(snr_db=_SNR5, controller="dac", static_beb=False, seed=24),
+    "static_beb_on": dict(snr_db=(30.0,) * 6, controller="edca-static",
+                          static_beb=True, seed=25),
+    "static_beb_off": dict(snr_db=(30.0,) * 6, controller="edca-static",
+                           static_beb=False, seed=26),
+    "capture_threshold": dict(snr_db=_SNR5, controller="edca-static", static_cw=8,
+                              static_beb=True, capture_mode="threshold", seed=27),
+    "onoff_cac": dict(snr_db=(35.0, 30.0, 25.0), controller="cac",
+                      capture_mode="threshold", traffic="onoff",
+                      burst_bytes=150_000, silent_mean_s=0.2, seed=28),
+    "dac_n40": dict(snr_db=(30.0,) * 40, controller="dac", seed=29),
+}
+
+_SLOTTED_GOLDEN = {
+    "cac_beb_on": (
+        [648, 718, 727, 661, 693],
+        [507, 582, 598, 529, 549],
+        [141, 136, 129, 132, 144],
+        [0, 0, 0, 0, 0],
+        [760500, 873000, 897000, 793500, 823500],
+        [(1831, 427), (1764, 419), (1741, 426), (1807, 429), (1789, 427)],
+        120,
+        "0f667a7a815828f6d1281e9865df7d86839c594d299e700a0a9a8547ecf6ecde"),
+    "cac_beb_off": (
+        [648, 720, 717, 647, 716],
+        [515, 581, 591, 510, 585],
+        [133, 140, 126, 137, 133],
+        [0, 0, 0, 0, 0],
+        [772500, 871500, 886500, 765000, 877500],
+        [(1851, 416), (1795, 406), (1769, 422), (1856, 416), (1785, 412)],
+        120,
+        "49d70a38b3ce48d55f3e03a30419430ceb2de7e353dc706a92cb91b6decb1c17"),
+    "dac_beb_on": (
+        [751, 629, 697, 717, 668],
+        [611, 509, 545, 564, 537],
+        [140, 120, 152, 153, 133],
+        [0, 0, 0, 0, 0],
+        [916500, 763500, 817500, 846000, 805500],
+        [(1714, 441), (1800, 457), (1783, 438), (1767, 435), (1776, 453)],
+        120,
+        "d55eb67f1845ad914622b5e0826541c5284604411416c6f904326108de6a9ce5"),
+    "dac_beb_off": (
+        [697, 776, 608, 668, 714],
+        [553, 615, 487, 529, 571],
+        [144, 161, 121, 139, 143],
+        [0, 0, 0, 0, 0],
+        [829500, 922500, 730500, 793500, 856500],
+        [(1750, 452), (1703, 437), (1790, 478), (1765, 461), (1724, 460)],
+        120,
+        "960160925c105209ceaf80113b6e95330c1d970c06490c8f29628952348751f8"),
+    "static_beb_on": (
+        [573, 462, 701, 650, 681, 629],
+        [419, 317, 501, 460, 493, 464],
+        [157, 145, 200, 190, 190, 165],
+        [0, 0, 0, 0, 0, 0],
+        [628500, 475500, 751500, 690000, 739500, 696000],
+        [(1602, 633), (1690, 647), (1565, 588), (1581, 613), (1558, 603), (1564, 626)],
+        140,
+        "482918fefb638660a7b039bb9d8da4981443393fc5ec9041631e010802da9e9f"),
+    "static_beb_off": (
+        [676, 700, 700, 710, 709, 709],
+        [391, 395, 385, 384, 381, 401],
+        [283, 305, 314, 326, 328, 306],
+        [2, 1, 1, 0, 1, 2],
+        [586500, 592500, 577500, 576000, 571500, 601500],
+        [(1070, 876), (1069, 873), (1082, 870), (1086, 867), (1091, 865), (1082, 854)],
+        140,
+        "49939f80b7d17e236c1d651e6794ad5f678e326044f4c8326c9bd0490b0f94da"),
+    "capture_threshold": (
+        [1316, 918, 697, 452, 612],
+        [1133, 671, 460, 250, 368],
+        [183, 246, 237, 206, 245],
+        [0, 1, 0, 0, 1],
+        [1699500, 1006500, 690000, 375000, 552000],
+        [(1162, 587), (1647, 564), (1726, 574), (1898, 614), (1764, 561)],
+        120,
+        "fbb917111e4701b754751705b2ebec0a0114d45518bf23b670d133b7a16ac483"),
+    "onoff_cac": (
+        [727, 555, 855],
+        [692, 500, 800],
+        [35, 55, 55],
+        [0, 0, 0],
+        [1038000, 750000, 1200000],
+        [(1205, 95), (1413, 79), (1083, 77)],
+        80,
+        "61574feac380398a91835eb4b1c5c3b37536584991f450f7fd60154c3a89b110"),
+    "dac_n40": (
+        [112, 111, 107, 115, 114, 96, 106, 106, 78, 101, 118, 109, 110, 88, 73, 106,
+         113, 114, 103, 100, 78, 134, 121, 95, 111, 114, 89, 137, 100, 122, 107, 117,
+         102, 116, 101, 124, 111, 118, 81, 116],
+        [61, 61, 55, 59, 64, 48, 55, 60, 43, 58, 56, 60, 47, 44, 36, 58, 58, 70, 51,
+         49, 37, 68, 69, 49, 58, 68, 49, 69, 49, 57, 54, 59, 58, 59, 47, 73, 67, 64,
+         44, 62],
+        [51, 51, 52, 57, 52, 48, 51, 48, 39, 42, 62, 53, 63, 45, 41, 48, 55, 44, 52,
+         51, 41, 67, 54, 46, 55, 48, 42, 68, 51, 68, 53, 58, 46, 58, 53, 50, 44, 56,
+         40, 54],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0],
+        [91500, 91500, 82500, 88500, 96000, 72000, 82500, 90000, 64500, 87000, 84000,
+         90000, 70500, 66000, 54000, 87000, 87000, 105000, 76500, 73500, 55500, 102000,
+         103500, 73500, 87000, 102000, 73500, 103500, 73500, 85500, 81000, 88500,
+         87000, 88500, 70500, 109500, 100500, 96000, 66000, 93000],
+        [(1168, 1024), (1171, 1021), (1173, 1025), (1178, 1016), (1171, 1018),
+         (1180, 1025), (1174, 1024), (1171, 1022), (1178, 1032), (1167, 1028),
+         (1181, 1016), (1174, 1019), (1184, 1022), (1180, 1029), (1188, 1029),
+         (1170, 1025), (1178, 1017), (1158, 1025), (1178, 1024), (1181, 1023),
+         (1186, 1030), (1175, 1010), (1164, 1020), (1181, 1023), (1176, 1019),
+         (1162, 1023), (1179, 1025), (1169, 1015), (1176, 1028), (1177, 1019),
+         (1178, 1021), (1173, 1021), (1167, 1028), (1172, 1022), (1181, 1025),
+         (1158, 1022), (1162, 1024), (1170, 1019), (1181, 1028), (1166, 1025)],
+        820,
+        "ad8137c730458d12aaaa637daeac4e2b95c5016b88b11e87fe05e608656b1c5d"),
+}
+
+
+class TestSlottedGolden:
+    """The slotted engine's exact output: any change to backoff, capture,
+    sniffing, on/off activation or event order moves these numbers."""
+
+    @pytest.mark.parametrize("name", sorted(_SLOTTED_GOLDEN))
+    def test_exact_output(self, name):
+        sc = Scenario(duration_s=2.0, replications=1, name=name,
+                      **_SLOTTED_GOLDEN_SCENARIOS[name])
+        assert sc.is_fully_connected()
+        res = run_once(sc, 0)
+        ids = res.station_ids
+        digest = hashlib.sha256(
+            repr((res.records, res.transfer_delays_us)).encode()).hexdigest()
+        got = tuple([tally[i] for i in ids]
+                    for tally in (res.attempts, res.successes, res.retries,
+                                  res.drops, res.delivered_bytes,
+                                  res.sniffed_flags))
+        assert got + (len(res.records), digest) == _SLOTTED_GOLDEN[name]
