@@ -13,7 +13,7 @@ from dataclasses import replace
 from .engine import CONTROLLERS
 from .harness import SWEEP_AXES, emit_outputs, run_experiment, slot_trace_writer, sweep
 from .oracle import cw_grid, solve_fixed_point
-from .phy import BUILTIN_PROFILES, get_profile
+from .phy import BUILTIN_PROFILES, MAX_MSDU_BYTES, get_profile
 from .scenario import PRESETS, ConfigError, Scenario, emit_scenario, get_preset, load_scenario
 
 
@@ -33,10 +33,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         changes["replications"] = args.replications
     if getattr(args, "controller", None):
         changes["controller"] = args.controller
-    if changes:
-        scenario = replace(scenario, **changes)
-        scenario.validate()
-    return scenario
+    return replace(scenario, **changes)
 
 
 def cmd_run(args) -> int:
@@ -117,6 +114,20 @@ def cmd_presets(args) -> int:
     return 0
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer from `low` up to `high` (unbounded if None)."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < low or (high is not None and value > high):
+            span = f">= {low}" if high is None else f"{low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edcasim",
@@ -129,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--replications", type=int, default=None)
     p_run.add_argument("--controller", choices=CONTROLLERS, default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=_int_in(1), default=1)
     p_run.add_argument("--slot-trace", default=None, metavar="FILE",
                        help="write one CSV row per transmitted data frame of "
                             "the first replication")
@@ -142,14 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--replications", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_int_in(1), default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="emit the CW-vs-throughput model grid")
-    p_oracle.add_argument("--n", type=int, nargs="+", required=True)
+    p_oracle.add_argument("--n", type=_int_in(1), nargs="+", required=True)
     p_oracle.add_argument("--profile", default="80211a-24mbps",
                           choices=sorted(BUILTIN_PROFILES))
-    p_oracle.add_argument("--payload", type=int, default=1500)
+    p_oracle.add_argument("--payload", type=_int_in(1, MAX_MSDU_BYTES), default=1500)
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -18,24 +18,11 @@ class OptimalPoint:
     t_e: float            # idle slot [us]
     t_c: float            # collision duration [us]
 
-    def tau_opt_exact(self, n: int) -> float:
-        """Per-station transmission probability that the approximation replaces."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return min(1.0, math.sqrt(2.0 * self.t_e / self.t_c) / n)
-
-    def p_col_exact(self, n: int) -> float:
-        """Collision probability at the exact optimum for n stations."""
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        return 1.0 - (1.0 - self.tau_opt_exact(n)) ** (n - 1)
-
 
 @dataclass(frozen=True)
 class PiGains:
     k_p: float
     k_i: float
-    m: int
 
     def __post_init__(self):
         if not (math.isfinite(self.k_p) and math.isfinite(self.k_i)):
@@ -83,7 +70,7 @@ def compute_gains(p_opt: float, m: int) -> PiGains:
         raise ValueError("m must be >= 1")
     geo = sum((2.0 * p_opt) ** k for k in range(m))
     den = p_opt * p_opt * (1.0 + p_opt * geo)
-    return PiGains(k_p=0.8 / den, k_i=0.4 / (0.85 * den), m=m)
+    return PiGains(k_p=0.8 / den, k_i=0.4 / (0.85 * den))
 
 
 def cac_error(p_obs: float, p_opt: float) -> float:

@@ -105,12 +105,10 @@ class ControlPlane:
         floor, ceiling = cw_bounds or (profile.cw_floor, profile.cw_ceiling)
         if mode == "edca-static":
             self.gains = None
+        elif gains_override is not None:
+            self.gains = PiGains(*gains_override)
         else:
-            m = profile.m_backoff_stages
-            if gains_override is not None:
-                self.gains = PiGains(k_p=gains_override[0], k_i=gains_override[1], m=m)
-            else:
-                self.gains = compute_gains(p_opt, m)
+            self.gains = compute_gains(p_opt, profile.m_backoff_stages)
         self.cac_state: ControllerState | None = (
             initial_state(self.gains, floor, ceiling) if mode == "cac" else None)
         self.dac_states: dict[int, ControllerState] = (

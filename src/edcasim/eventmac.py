@@ -103,8 +103,10 @@ class EventEngine:
 
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, time, prio, kind, payload):
-        heapq.heappush(self._heap, (time, prio, next(self._seq), kind, payload))
+    def _push(self, time, prio, handler, payload):
+        """Schedule `handler(self, time, payload)`. Handlers are class-level
+        functions, shared by every entry, not a bound method made per push."""
+        heapq.heappush(self._heap, (time, prio, next(self._seq), handler, payload))
 
     # -- countdown management -----------------------------------------------
 
@@ -182,7 +184,7 @@ class EventEngine:
             count[i] += 1
         self._freeze(idle, tx.start)
 
-    def _end_tx(self, tx: _Tx, t: int) -> None:
+    def _end_tx(self, t: int, tx: _Tx) -> None:
         self._ongoing.remove(tx)
         count, in_flight = self._heard_count, self._in_flight
         idle = []
@@ -201,19 +203,17 @@ class EventEngine:
         tx = _Tx(src=i, start=t, end=t + data_airtime(self.profile, st.payload_bytes),
                  kind="data", snr=st.snr_db, retry_flag=st.retry_flag)
         self._begin_tx(tx)
-        self._push(tx.end, _P_END, "data_end", tx)
+        self._push(tx.end, _P_END, EventEngine._on_data_end, tx)
 
     def _decoded_at_ap(self, tx: _Tx) -> bool:
         if tx.ap_busy or tx.src not in self.ap_hears:
             return False
         if not tx.overlap_snrs:
             return True
-        if self.capture.mode != "threshold":
-            return False
-        return tx.snr >= max(tx.overlap_snrs) + self.capture.threshold_db
+        return self.capture.captures(tx.snr, max(tx.overlap_snrs))
 
     def _on_data_end(self, t, tx: _Tx):
-        self._end_tx(tx, t)
+        self._end_tx(t, tx)
         # Sniffers: every station that heard the whole frame cleanly.
         stations, garbled = self.stations, tx.garbled_at
         for i in self._hearers[tx.src]:
@@ -225,26 +225,27 @@ class EventEngine:
                                       len(tx.overlap_snrs), tx.retry_flag))
         if decoded:
             self.ap_counters.observe_frame(tx.retry_flag)
-            self._push(t + self.profile.sifs, _P_ACK, "ack_start", tx)
+            self._push(t + self.profile.sifs, _P_ACK, EventEngine._on_ack_start, tx)
         else:
-            self._push(t + self.profile.ack_timeout, _P_FAIL, "tx_fail", tx)
+            self._push(t + self.profile.ack_timeout, _P_FAIL, EventEngine._on_tx_fail, tx)
 
     def _on_ack_start(self, t, frame: _Tx):
         if self._ap_tx_until > t:
             # Half-duplex AP busy with a beacon: the ACK is never sent.
-            self._push(frame.end + self.profile.ack_timeout, _P_FAIL, "tx_fail", frame)
+            self._push(frame.end + self.profile.ack_timeout, _P_FAIL,
+                       EventEngine._on_tx_fail, frame)
             return
         ack = _Tx(src=AP, start=t, end=t + self.profile.ack_duration,
                   kind="ack", owner=frame)
         self._begin_tx(ack)
-        self._push(ack.end, _P_END, "ack_end", ack)
+        self._push(ack.end, _P_END, EventEngine._on_ack_end, ack)
 
     def _on_ack_end(self, t, ack: _Tx):
-        self._end_tx(ack, t)
+        self._end_tx(t, ack)
         src = ack.owner.src
         if ack.garbled_at >> src & 1:
             self._push(ack.owner.end + self.profile.ack_timeout, _P_FAIL,
-                       "tx_fail", ack.owner)
+                       EventEngine._on_tx_fail, ack.owner)
             return
         st = self.stations[src]
         st.resolve_success(t)
@@ -265,14 +266,15 @@ class EventEngine:
             self._garbled_since &= ~(1 << src)
             self._resume((src,), t)
 
-    def _on_beacon(self, t):
+    def _on_beacon(self, t, _payload):
+        self._beacons_left -= 1
         self.records.extend(self.control.beacon_update(
             t // 1000, list(self.stations.values()), self.ap_counters))
         start = max(t, self._ap_tx_until)
         beacon = _Tx(src=AP, start=start, end=start + self.profile.beacon_airtime,
                      kind="beacon")
         self._begin_tx(beacon)
-        self._push(beacon.end, _P_END, "beacon_end", beacon)
+        self._push(beacon.end, _P_END, EventEngine._end_tx, beacon)
 
     # -- main loop ------------------------------------------------------------
 
@@ -282,34 +284,23 @@ class EventEngine:
             raise ValueError("duration shorter than one beacon interval")
         self._resume(self.stations, 0)
         for k in range(1, n_intervals + 1):
-            self._push(k * self.profile.beacon_interval, _P_BEACON, "beacon", k)
+            self._push(k * self.profile.beacon_interval, _P_BEACON,
+                       EventEngine._on_beacon, None)
 
         # Events run in (time, priority, sequence) order. A pending start
         # carries its sequence number from when it was scheduled, so it
         # takes its turn against the heap exactly as a heap entry would.
         heap, starts = self._heap, self._starts
-        beacons_done = 0
-        while beacons_done < n_intervals:
+        self._beacons_left = n_intervals
+        while self._beacons_left:
             if starts:
                 start = min(starts.values())
                 if start < heap[0]:
                     del starts[start[3]]
                     self._on_tx_start(start[0], start[3])
                     continue
-            t, _prio, _seq, kind, payload = heapq.heappop(heap)
-            if kind == "data_end":
-                self._on_data_end(t, payload)
-            elif kind == "ack_start":
-                self._on_ack_start(t, payload)
-            elif kind == "ack_end":
-                self._on_ack_end(t, payload)
-            elif kind == "tx_fail":
-                self._on_tx_fail(t, payload)
-            elif kind == "beacon_end":
-                self._end_tx(payload, t)
-            elif kind == "beacon":
-                self._on_beacon(t)
-                beacons_done += 1
+            t, _prio, _seq, handler, payload = heapq.heappop(heap)
+            handler(self, t, payload)
 
         return RunResult.from_stations(list(self.stations.values()), self.records,
                                        n_intervals * self.profile.beacon_interval)

@@ -37,20 +37,6 @@ def _jain_or_none(throughputs: list[float]) -> float | None:
         return None
 
 
-def pearson_r(xs: list[float], ys: list[float]) -> float:
-    n = len(xs)
-    if n != len(ys) or n < 2:
-        raise ValueError("need two same-length vectors of length >= 2")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
-    if vx == 0 or vy == 0:
-        return 0.0
-    return cov / math.sqrt(vx * vy)
-
-
 def _station_rng(run_seed: int, sid: int, purpose: str) -> random.Random:
     # Strings seed the Mersenne twister via a stable hash, so every station
     # gets an independent, platform-stable stream.
@@ -83,7 +69,6 @@ def _build_stations(scenario: Scenario, run_seed: int) -> list[Station]:
 
 def run_once(scenario: Scenario, rep: int, slot_log=None) -> RunResult:
     """One seeded replication; deterministic given (scenario, rep)."""
-    scenario.validate()
     profile = scenario.phy()
     stations = _build_stations(scenario, scenario.seed + rep)
     capture = CaptureModel(mode=scenario.capture_mode,
@@ -114,15 +99,6 @@ class ExperimentResult:
     def station_ids(self) -> list[int]:
         return self.runs[0].station_ids
 
-    def throughput_matrix(self) -> list[list[float]]:
-        """runs x stations, Mbps."""
-        return [[r.throughput_mbps[i] for i in self.station_ids] for r in self.runs]
-
-    def mean_station_throughput(self) -> dict[int, float]:
-        n = len(self.runs)
-        return {i: sum(r.throughput_mbps[i] for r in self.runs) / n
-                for i in self.station_ids}
-
     def total_mean(self) -> float:
         return sum(r.total_mbps for r in self.runs) / len(self.runs)
 
@@ -141,15 +117,6 @@ class ExperimentResult:
             return None
         return sum(js) / len(js)
 
-    def delays_s(self) -> dict[int, list[float]]:
-        out = {}
-        for i in self.station_ids:
-            vals = []
-            for r in self.runs:
-                vals.extend(d / 1e6 for d in r.transfer_delays_us[i])
-            out[i] = vals
-        return out
-
 
 def run_experiment(scenario: Scenario, jobs: int = 1,
                    slot_log=None) -> ExperimentResult:
@@ -160,7 +127,6 @@ def run_experiment(scenario: Scenario, jobs: int = 1,
     given, traces the first replication only; with several jobs, that
     replication runs in this process while the pool runs the others.
     """
-    scenario.validate()
     reps = list(range(scenario.replications))
     if jobs > 1 and len(reps) > 1:
         # Imported here: it is a third of the package's import time, and
@@ -203,9 +169,8 @@ def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
             parsed.append(SWEEP_AXES[axis](v))
         except (TypeError, ValueError):
             raise ConfigError("values", f"bad {axis} value {v!r}") from None
+    # Building a point validates it, so every point is checked before any runs.
     scenarios = [_apply_axis(base, axis, v) for v in parsed]
-    for sc in scenarios:
-        sc.validate()   # every point, before any of them runs
     return [(v, run_experiment(sc, jobs=jobs)) for v, sc in zip(parsed, scenarios)]
 
 
@@ -270,9 +235,7 @@ def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
         scenario = result.scenario
         with open(paths["summary.csv"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            for rep, run in enumerate(result.runs):
-                jfi = _jain_or_none([run.throughput_mbps[i]
-                                     for i in run.station_ids])
+            for rep, (run, jfi) in enumerate(zip(result.runs, result.jain_per_run())):
                 for sid in run.station_ids:
                     fh.write(",".join([
                         scenario.name, str(result.seeds[rep]), str(sid),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .controllers import effective_cw_max
 from .estimators import BeaconCounters
-from .phy import FrameSpec, PhyProfile, collision_duration, success_duration
+from .phy import PhyProfile, collision_duration, success_duration
 
 
 CAPTURE_MODES = ("none", "threshold")
@@ -37,6 +37,10 @@ class CaptureModel:
         if self.mode == "threshold" and self.threshold_db <= 0:
             raise ValueError("capture threshold must be positive")
 
+    def captures(self, snr_db: float, rival_snr_db: float) -> bool:
+        """The capture rule of both engines: is `snr_db` decoded over its rival?"""
+        return self.mode == "threshold" and snr_db - rival_snr_db >= self.threshold_db
+
 
 def resolve_capture(snr_by_station: dict[int, float],
                     capture: CaptureModel) -> int | None:
@@ -46,13 +50,9 @@ def resolve_capture(snr_by_station: dict[int, float],
     """
     if len(snr_by_station) < 2:
         raise ValueError("capture resolution needs at least 2 transmitters")
-    if capture.mode == "none":
-        return None
     ranked = sorted(snr_by_station.items(), key=lambda kv: (-kv[1], kv[0]))
     (best_id, best_snr), (_, second_snr) = ranked[0], ranked[1]
-    if best_snr - second_snr >= capture.threshold_db:
-        return best_id
-    return None
+    return best_id if capture.captures(best_snr, second_snr) else None
 
 
 TRAFFIC_KINDS = ("saturated", "onoff")
@@ -66,7 +66,7 @@ class TrafficSource:
         if kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown traffic kind {kind!r}")
         self.kind = kind
-        self.frame = FrameSpec(payload_bytes=payload_bytes)
+        self.payload_bytes = payload_bytes
         self.rng = rng
         self.burst_frames = max(1, math.ceil(burst_bytes / payload_bytes)) \
             if kind == "onoff" else 0
@@ -75,9 +75,6 @@ class TrafficSource:
         self.arrival_us: int | None = 0 if kind == "onoff" else None
         self.transfer_start: int | None = None
         self.transfer_delays_us: list[int] = []
-
-    def backlogged_at_start(self) -> bool:
-        return self.kind == "saturated"
 
     def consume_frame(self, now_us: int) -> bool:
         """Advance past one resolved frame; False when the queue went empty."""
@@ -111,7 +108,7 @@ class Station:
         self.cw_min_current = cw_min
         self.beb = beb
         self.retry_count = 0
-        self.backlogged = traffic.backlogged_at_start()
+        self.backlogged = traffic.kind == "saturated"
         self.backoff_counter = 0
         # Sniffer + driver-style counters (one vantage point per station).
         self.counters = BeaconCounters()
@@ -123,8 +120,6 @@ class Station:
         self._frame_attempts = 0
         if self.backlogged:
             self.draw_backoff()
-        if traffic.kind == "onoff":
-            traffic.transfer_start = 0
 
     @property
     def retry_flag(self) -> bool:
@@ -132,7 +127,7 @@ class Station:
 
     @property
     def payload_bytes(self) -> int:
-        return self.traffic.frame.payload_bytes
+        return self.traffic.payload_bytes
 
     def current_cw(self) -> int:
         if not self.beb:
@@ -194,23 +189,20 @@ class Station:
         self.dropped_this_interval = 0
 
 
-
-
-def run_slot(stations: list[Station], capture: CaptureModel, profile: PhyProfile,
+def run_slot(transmitters: list[Station], capture: CaptureModel, profile: PhyProfile,
              ap_counters: BeaconCounters, now_us: int = 0, log_frame=None) -> float:
-    """Resolve one busy channel event and return its duration [us].
+    """Resolve one busy channel event among `transmitters` and return its
+    duration [us].
 
-    The stations whose backoff counter is zero transmit; the caller makes
-    sure there is at least one. One transmitter: success. Several: a
-    collision, unless the capture model decodes a winner; losers follow the
-    plain collision path either way (window doubling, retry flag,
-    retry-limit drop with window reset). The decoded frame reaches the AP
-    and the sniffer of every station that did not transmit (a transmitter
-    cannot receive); the slotted loop passes only the transmitters and
-    credits the other sniffers itself. When given, `log_frame(start_us,
-    station, decoded, overlaps, retry)` is called once per transmitted frame.
+    The caller passes the stations whose backoff counter reached zero, at
+    least one. One transmitter: success. Several: a collision, unless the
+    capture model decodes a winner; losers follow the plain collision path
+    either way (window doubling, retry flag, retry-limit drop with window
+    reset). The decoded frame feeds the AP's counters; the slotted loop
+    credits every other station's sniffer from the AP's tallies. When given,
+    `log_frame(start_us, station, decoded, overlaps, retry)` is called once
+    per transmitted frame.
     """
-    transmitters = [s for s in stations if s.backlogged and s.backoff_counter == 0]
     for s in transmitters:
         s.note_attempt()
 
@@ -225,11 +217,7 @@ def run_slot(stations: list[Station], capture: CaptureModel, profile: PhyProfile
         duration = collision_duration(profile, longest)
     else:
         duration = success_duration(profile, winner.payload_bytes)
-        flag = winner.retry_flag
-        ap_counters.observe_frame(flag)
-        for s in stations:
-            if s not in transmitters:
-                s.counters.observe_frame(flag)
+        ap_counters.observe_frame(winner.retry_flag)
 
     if log_frame is not None:
         for s in transmitters:

@@ -21,8 +21,6 @@ class FixedPointSolution:
     tau: float          # per-station transmission probability per slot
     p: float            # conditional collision probability
     throughput: float   # total saturation throughput [Mbps]
-    cw_min: int
-    n: int
 
 
 def backoff_tau(p: float, cw_min: int, m: int) -> float:
@@ -76,8 +74,7 @@ def solve_fixed_point(n: int, cw_min: int, m: int, profile: PhyProfile,
     p_s = n * tau * (1.0 - tau) ** (n - 1) / p_tr if p_tr > 0 else 0.0
     cycle = (1.0 - p_tr) * t_e + p_tr * p_s * t_s + p_tr * (1.0 - p_s) * t_c
     throughput = p_tr * p_s * (8.0 * payload) / cycle  # bits/us == Mbps
-    return FixedPointSolution(tau=tau, p=p, throughput=throughput,
-                              cw_min=cw_min, n=n)
+    return FixedPointSolution(tau=tau, p=p, throughput=throughput)
 
 
 def cw_grid(profile: PhyProfile) -> list[int]:
@@ -88,26 +85,22 @@ def cw_grid(profile: PhyProfile) -> list[int]:
     return grid
 
 
-def optimal_cw_bruteforce(n: int, profile: PhyProfile, payload: int,
-                          m: int | None = None) -> int:
+def optimal_cw_bruteforce(n: int, profile: PhyProfile, payload: int) -> int:
     """Power-of-2 window that maximizes model throughput for n stations."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if m is None:
-        m = profile.m_backoff_stages
     best_cw, best_s = None, -1.0
     for cw in cw_grid(profile):
-        s = solve_fixed_point(n, cw, m, profile, payload).throughput
+        s = solve_fixed_point(n, cw, profile.m_backoff_stages, profile,
+                              payload).throughput
         if s > best_s:
             best_cw, best_s = cw, s
     return best_cw
 
 
-def cw_targeted_by_p(p_target: float, n: int, profile: PhyProfile, payload: int,
-                     m: int | None = None) -> int:
+def cw_targeted_by_p(p_target: float, n: int, profile: PhyProfile, payload: int) -> int:
     """Grid window whose fixed-point collision probability is nearest p_target."""
-    if m is None:
-        m = profile.m_backoff_stages
+    m = profile.m_backoff_stages
     return min(cw_grid(profile),
                key=lambda cw: abs(solve_fixed_point(n, cw, m, profile, payload).p
                                   - p_target))

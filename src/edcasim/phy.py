@@ -61,17 +61,6 @@ class PhyProfile:
 MAX_MSDU_BYTES = 2304   # 802.11 MSDU payload maximum
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """A data frame as the MAC sees it."""
-
-    payload_bytes: int
-
-    def __post_init__(self):
-        if self.payload_bytes <= 0:
-            raise ValueError("payload_bytes must be positive")
-
-
 def collision_duration(profile: PhyProfile, longest_payload: int) -> float:
     """Airtime cost of a collision whose longest member carries `longest_payload` bytes.
 

@@ -70,6 +70,9 @@ class Scenario:
         return (phy.cw_floor if floor is None else floor,
                 phy.cw_ceiling if ceiling is None else ceiling)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if "#" in self.name or self.name != self.name.strip() \
                 or len(self.name.splitlines()) > 1:
@@ -158,7 +161,6 @@ def hidden_node_visibility(scenario: Scenario) -> tuple[dict[int, set[int]], set
     """Build per-station heard sets (audible node ids, AP = 0) and the set of
     stations the AP hears. Stations default to hearing everyone.
     """
-    scenario.validate()
     n = scenario.n_stations
     heard = {i: set(range(0, n + 1)) for i in range(1, n + 1)}
     ap_hears = set(range(1, n + 1))
@@ -258,9 +260,7 @@ def parse_scenario(text: str) -> Scenario:
         elif len(snr) != n_stations_hint:
             raise ConfigError("stations",
                               f"stations = {n_stations_hint} but {len(snr)} SNR values given")
-    scenario = Scenario(**values)
-    scenario.validate()
-    return scenario
+    return Scenario(**values)
 
 
 def emit_scenario(scenario: Scenario) -> str:

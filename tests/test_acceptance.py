@@ -5,14 +5,14 @@ the same preset runs. Every tolerance is pinned here, none deferred.
 """
 
 import dataclasses
+import math
 import random
 import time
 
 import pytest
 
 from edcasim.controllers import PiGains, compute_p_opt, pi_update, quantize_cw
-from edcasim.harness import (emit_outputs, jain_index, pearson_r,
-                             run_experiment, run_once, sweep)
+from edcasim.harness import emit_outputs, jain_index, run_experiment, run_once, sweep
 from edcasim.oracle import cw_targeted_by_p, optimal_cw_bruteforce, solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario, get_preset
@@ -110,8 +110,31 @@ def test_c04_udp_throughput_gain(fig7):
 
 
 def _mean_throughputs(exp):
-    means = exp.mean_station_throughput()
-    return [means[i] for i in exp.station_ids]
+    return [sum(r.throughput_mbps[i] for r in exp.runs) / len(exp.runs)
+            for i in exp.station_ids]
+
+
+def pearson_r(xs: list[float], ys: list[float]) -> float:
+    n = len(xs)
+    if n != len(ys) or n < 2:
+        raise ValueError("need two same-length vectors of length >= 2")
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    vx = sum((x - mx) ** 2 for x in xs)
+    vy = sum((y - my) ** 2 for y in ys)
+    if vx == 0 or vy == 0:
+        return 0.0
+    return cov / math.sqrt(vx * vy)
+
+
+class TestPearson:
+    def test_perfect_lines(self):
+        assert pearson_r([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
+        assert pearson_r([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
+
+    def test_degenerate_vector(self):
+        assert pearson_r([1, 2, 3], [5, 5, 5]) == 0.0
 
 
 def test_c05_fairness_ordering(fig9):
@@ -260,7 +283,7 @@ def test_c10_controller_algebra(fig5_run):
 
     # clamp absorption with physical error magnitudes
     from edcasim.controllers import ControllerState
-    s = ControllerState(gains=PiGains(k_p=25.3, k_i=14.9, m=6), cw_floor=16,
+    s = ControllerState(gains=PiGains(k_p=25.3, k_i=14.9), cw_floor=16,
                         cw_ceiling=1024, cw_real=1015.0, cw_quantized=1024)
     s = pi_update(s, 0.8)
     s = pi_update(s, 0.0)
@@ -302,7 +325,7 @@ def test_c10_controller_algebra(fig5_run):
 
 def _fresh_state(k_p, k_i, cw=5000.0):
     from edcasim.controllers import ControllerState
-    return ControllerState(gains=PiGains(k_p=k_p, k_i=k_i, m=6),
+    return ControllerState(gains=PiGains(k_p=k_p, k_i=k_i),
                            cw_floor=1, cw_ceiling=10 ** 9, cw_real=cw,
                            cw_quantized=quantize_cw(cw, 1, 10 ** 9))
 

@@ -20,6 +20,13 @@ KP_016_M6 = 25.302794032041192
 KI_016_M6 = 14.883996489435996
 
 
+def p_col_exact(pt: OptimalPoint, n: int) -> float:
+    """Collision probability at the exact optimum for n stations, whose
+    per-station transmission probability the approximation replaces."""
+    tau_opt_exact = min(1.0, math.sqrt(2.0 * pt.t_e / pt.t_c) / n)
+    return 1.0 - (1.0 - tau_opt_exact) ** (n - 1)
+
+
 class TestOptimalPoint:
     def test_80211a_band(self):
         pt = compute_p_opt(PROFILE_80211A_24, 1500)
@@ -42,7 +49,7 @@ class TestOptimalPoint:
     def test_independent_of_station_count(self):
         pt = compute_p_opt(PROFILE_80211A_24, 1500)
         # the exact per-n optimum converges to the approximation from below
-        exact = [pt.p_col_exact(n) for n in (5, 20, 100, 1000)]
+        exact = [p_col_exact(pt, n) for n in (5, 20, 100, 1000)]
         assert exact == sorted(exact)
         assert exact[-1] == pytest.approx(pt.p_opt, abs=0.01)
 
@@ -84,9 +91,9 @@ class TestGains:
 
     def test_positive_finite_required(self):
         with pytest.raises(ValueError):
-            PiGains(k_p=-1.0, k_i=1.0, m=6)
+            PiGains(k_p=-1.0, k_i=1.0)
         with pytest.raises(ValueError):
-            PiGains(k_p=math.inf, k_i=1.0, m=6)
+            PiGains(k_p=math.inf, k_i=1.0)
 
 
 class TestErrors:
@@ -145,7 +152,7 @@ class TestQuantize:
 
 def make_state(cw_real=64.0, k_p=25.3, k_i=14.9, prev_error=0.0,
                floor=16, ceiling=1024):
-    g = PiGains(k_p=k_p, k_i=k_i, m=6)
+    g = PiGains(k_p=k_p, k_i=k_i)
     return ControllerState(gains=g, cw_floor=floor, cw_ceiling=ceiling,
                            cw_real=cw_real,
                            cw_quantized=quantize_cw(cw_real, floor, ceiling),
@@ -225,7 +232,7 @@ class TestSteps:
         assert new is state and cw == 128
 
     def test_cac_cold_start_rises_under_collisions(self):
-        state = initial_state(PiGains(25.3, 14.9, 6), 16, 1024)
+        state = initial_state(PiGains(25.3, 14.9), 16, 1024)
         counters = BeaconCounters(r0=50, r1=50)   # p_obs = 0.5 >> p_opt
         new, cw = cac_step(estimate_p_obs(counters), state, self.P_OPT)
         assert new.cw_real > state.cw_real
@@ -244,7 +251,7 @@ class TestSteps:
         # A lone always-backlogged station: p_obs = 0 over its own successes
         # is not even needed; with no sniffed frames the update defers forever
         # at the floor, and with sniffable peers at zero collisions it decays.
-        state = initial_state(PiGains(25.3, 14.9, 6), 16, 1024)
+        state = initial_state(PiGains(25.3, 14.9), 16, 1024)
         for _ in range(10):
             counters = BeaconCounters(r0=100, r1=0,
                                       successes_cumulative=100)

@@ -7,7 +7,7 @@ import pytest
 from edcasim.cli import main as cli_main
 from edcasim.engine import FrameRecord
 from edcasim.harness import (SLOT_TRACE_HEADER, SUMMARY_HEADER, TRACE_HEADER,
-                             _build_stations, emit_outputs, jain_index, pearson_r,
+                             _build_stations, emit_outputs, jain_index,
                              run_experiment, sweep)
 from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
                               load_scenario)
@@ -18,6 +18,11 @@ def tiny_scenario(**kw):
                 replications=2, seed=5, name="tiny")
     base.update(kw)
     return Scenario(**base)
+
+
+def throughputs(result):
+    """Per replication, each station's throughput [Mbps]."""
+    return [run.throughput_mbps for run in result.runs]
 
 
 class TestJain:
@@ -47,15 +52,6 @@ class TestJain:
             assert 1 / len(xs) - 1e-12 <= j <= 1 + 1e-12
 
 
-class TestPearson:
-    def test_perfect_lines(self):
-        assert pearson_r([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
-        assert pearson_r([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
-
-    def test_degenerate_vector(self):
-        assert pearson_r([1, 2, 3], [5, 5, 5]) == 0.0
-
-
 class TestExperiment:
     def test_replications_aggregate_consistently(self):
         res = run_experiment(tiny_scenario())
@@ -70,7 +66,7 @@ class TestExperiment:
     def test_deterministic_given_seed(self):
         a = run_experiment(tiny_scenario())
         b = run_experiment(tiny_scenario())
-        assert a.throughput_matrix() == b.throughput_matrix()
+        assert throughputs(a) == throughputs(b)
 
     def test_replications_differ_from_each_other(self):
         res = run_experiment(tiny_scenario())
@@ -80,7 +76,7 @@ class TestExperiment:
         sc = tiny_scenario(replications=3)
         seq = run_experiment(sc, jobs=1)
         par = run_experiment(sc, jobs=3)
-        assert seq.throughput_matrix() == par.throughput_matrix()
+        assert throughputs(seq) == throughputs(par)
         assert seq.runs[0].records == par.runs[0].records
 
     def test_gain_overrides_change_dynamics(self):
@@ -149,7 +145,7 @@ class TestExperiment:
         seq = run_experiment(sc, jobs=1, slot_log=plain.append)
         assert pools == [{"max_workers": 2}]
         assert traced == plain and traced
-        assert par.throughput_matrix() == seq.throughput_matrix()
+        assert throughputs(par) == throughputs(seq)
 
 
 class TestSweep:
@@ -259,8 +255,9 @@ class TestDelayExperiment:
         spread = {}
         for ctl in ("cac", "dac", "edca-static"):
             res = run_experiment(dataclasses.replace(base, controller=ctl))
-            per_station = [statistics.mean(v)
-                           for v in res.delays_s().values() if v]
+            delays_s = {i: [d / 1e6 for r in res.runs for d in r.transfer_delays_us[i]]
+                        for i in res.station_ids}
+            per_station = [statistics.mean(v) for v in delays_s.values() if v]
             assert len(per_station) == base.n_stations
             spread[ctl] = max(per_station) - min(per_station)
         assert spread["cac"] < spread["dac"]
@@ -359,6 +356,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["oracle", "--n", "2", "--profile", "nope"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["oracle", "--n", "0"], "--n"),
+        (["oracle", "--n", "2", "--payload", "0"], "--payload"),
+        (["oracle", "--n", "2", "--payload", "99999"], "--payload"),
+        (["run", "{cfg}", "--jobs", "-4"], "--jobs"),
+        (["sweep", "--base", "{cfg}", "--axis", "controller", "--values", "cac",
+          "--jobs", "0"], "--jobs"),
+    ])
+    def test_bad_argument_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                                  argv, flag):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(emit_scenario(tiny_scenario(replications=1, duration_s=1.0)))
+        argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_internal_key_error_is_runtime_error(self, monkeypatch, capsys):
         import edcasim.cli

@@ -49,6 +49,27 @@ class TestResolveCapture:
         assert resolve_capture(snrs, CaptureModel("threshold", 10.0)) == 1
 
 
+class TestCaptureRule:
+    def test_both_engines_decide_by_the_difference(self):
+        # 9.2 - 6.2 is 2.9999999999999996 but 6.2 + 3.0 is 9.2: a 3 dB
+        # threshold captures only if the rule is read as a sum.
+        capture = CaptureModel("threshold", 3.0)
+        assert not capture.captures(9.2, 6.2)
+        assert resolve_capture({1: 9.2, 2: 6.2}, capture) is None
+        # fully connected runs the slotted engine, a hidden pair the event
+        # engine; both see overlapping frames and decode none of them
+        for hidden_pairs in ((), ((1, 2),)):
+            sc = Scenario(snr_db=(9.2, 6.2), controller="edca-static",
+                          capture_mode="threshold", capture_threshold_db=3.0,
+                          hidden_pairs=hidden_pairs, duration_s=1.0,
+                          replications=1, seed=3, name="edge")
+            frames = []
+            run_once(sc, 0, slot_log=frames.append)
+            overlapped = [f for f in frames if f.overlaps]
+            assert overlapped, hidden_pairs
+            assert not any(f.decoded for f in overlapped), hidden_pairs
+
+
 class TestRunSlot:
     def test_simultaneous_zero_counters_collide(self):
         a, b = make_station(1), make_station(2)
@@ -62,16 +83,18 @@ class TestRunSlot:
         assert ap.r0_total + ap.r1_total == 0    # nothing decoded
 
     def test_single_transmitter_succeeds_other_frozen(self):
+        # run_slot is handed the transmitters only: a listener keeps its
+        # counter, and the slotted loop credits its sniffer (TestSniffedTallies)
         a, b = make_station(1), make_station(2)
         a.backoff_counter, b.backoff_counter = 0, 3
         ap = BeaconCounters()
-        run_slot([a, b], NO_CAPTURE, PROFILE, ap)
+        run_slot([a], NO_CAPTURE, PROFILE, ap)
         assert b.backoff_counter == 3          # frozen during the busy event
         assert a.retry_count == 0
         assert a.counters.successes_cumulative == 1
-        # the AP and the listening station sniff the frame; its sender does not
-        assert ap.r0_total == b.counters.r0_total == 1
-        assert a.counters.r0_total == 0
+        # the AP decodes the frame; its sender does not sniff it
+        assert ap.r0_total == 1
+        assert a.counters.r0_total == b.counters.r0_total == 0
 
     def test_capture_winner_decoded_loser_penalized_like_collision(self):
         a, b = make_station(1, snr=40.0), make_station(2, snr=20.0)

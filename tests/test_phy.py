@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from edcasim.phy import (FrameSpec, PhyProfile, PROFILE_80211A_24,
-                         collision_duration, get_profile, success_duration)
+from edcasim.phy import (PhyProfile, PROFILE_80211A_24, collision_duration,
+                         get_profile, success_duration)
 
 
 def zero_overhead_profile(**kw):
@@ -35,10 +35,6 @@ class TestProfile:
         base.update(bad)
         with pytest.raises(ValueError):
             PhyProfile(**base)
-
-    def test_frame_spec_positive_payload(self):
-        with pytest.raises(ValueError):
-            FrameSpec(payload_bytes=0)
 
 
 class TestDurations:
