@@ -1,9 +1,13 @@
+import hashlib
+import io
+
 import pytest
 
 from edcasim.controllers import compute_p_opt
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
 from edcasim.eventmac import EventEngine
-from edcasim.harness import _build_stations, run_once
+from edcasim.harness import (ExperimentResult, _build_stations, emit_outputs, run_once,
+                             slot_trace_writer)
 from edcasim.mac import CAPTURE_MODES, CaptureModel
 from edcasim.scenario import ConfigError, Scenario
 
@@ -149,7 +153,8 @@ class TestValidation:
 
 # Exact whole-run accounting of short event-engine runs, one per topology,
 # controller and capture mode: (attempts, successes, retries, drops,
-# delivered_bytes, sniffed_flags, number of trace records).
+# delivered_bytes, sniffed_flags, number of trace records), then the sha256 of
+# the slot-trace rows and of trace.csv, which pin the frame order.
 _GOLDEN_SCENARIOS = {
     "pair_cac_none": dict(snr_db=(31.0, 30.0), controller="cac",
                           capture_mode="none", hidden_pairs=((1, 2),), seed=11),
@@ -174,6 +179,18 @@ _GOLDEN_SCENARIOS = {
     "chain_links_dac": dict(snr_db=(35.0, 30.0, 25.0), controller="dac",
                             capture_mode="threshold", hidden_links=((1, 3),),
                             allow_asymmetric=True, seed=17),
+    # classes {1,5,6,8,10,12}, {2}, {3}, {4}, {7}, {9}, {11}: two hidden pairs,
+    # a station hidden from the AP and a one-way link
+    "mix12_dac_threshold": dict(snr_db=tuple(round(40 - 20 * k / 11, 2)
+                                             for k in range(12)),
+                                controller="dac", capture_mode="threshold",
+                                hidden_pairs=((2, 9), (4, 11)), hidden_from_ap=(7,),
+                                hidden_links=((3, 5),), allow_asymmetric=True,
+                                seed=18),
+    # shaped like the benchmark's hidden_n40: classes {1}, {2}, {3..40}
+    "pair_cac_n40": dict(snr_db=tuple(round(40 - 20 * k / 39, 2) for k in range(40)),
+                         controller="cac", capture_mode="threshold",
+                         capture_threshold_db=10.0, hidden_pairs=((1, 2),), seed=19),
 }
 
 _GOLDEN = {
@@ -184,7 +201,9 @@ _GOLDEN = {
         {1: 46, 2: 42},
         {1: 1341000, 2: 1342500},
         {1: (0, 0), 2: (0, 0)},
-        60),
+        60,
+        "1deb288a6de25555f8155d9df43a756659a119e29ef46e7bc9e0e66458e3053e",
+        "22a4b6731f45ca57b3cf3028cf9bc9fa5a70ec4dfbb94036197543de75dcdf57"),
     "pair_dac_threshold": (
         {1: 765, 2: 753, 3: 1022, 4: 950},
         {1: 446, 2: 404, 3: 883, 4: 822},
@@ -192,7 +211,9 @@ _GOLDEN = {
         {1: 20, 2: 21, 3: 0, 4: 0},
         {1: 669000, 2: 606000, 3: 1324500, 4: 1233000},
         {1: (1523, 242), 2: (1521, 242), 3: (1306, 273), 4: (1357, 283)},
-        100),
+        100,
+        "3cf0a53c224ff4e0a74b727e2aea343d6d027df18832354516315d72fd221d35",
+        "96c598e250631ba7c30abb77bc5886b13e126068b196ad8d8741a6cc8cdb3de7"),
     "pair_static_beb_on": (
         {1: 926, 2: 698, 3: 1811},
         {1: 563, 2: 302, 3: 1667},
@@ -200,7 +221,9 @@ _GOLDEN = {
         {1: 17, 2: 27, 3: 0},
         {1: 844500, 2: 453000, 3: 2500500},
         {1: (1588, 135), 2: (1605, 142), 3: (598, 189)},
-        80),
+        80,
+        "3ed888bd91333194cba700152baacfa3d58063ef8baac26d6392e23539297e45",
+        "c625df7ca93fc8a16eb0873abb0518412d40518d3164e7e88a7af05b740b8428"),
     "pair_static_beb_off": (
         {1: 2920, 2: 2912},
         {1: 0, 2: 0},
@@ -208,7 +231,9 @@ _GOLDEN = {
         {1: 365, 2: 364},
         {1: 0, 2: 0},
         {1: (0, 0), 2: (0, 0)},
-        60),
+        60,
+        "650ef7f6e42e8a43a7bccb7888be17cbc2e3dba9fd23adcc4d3c64cc9fcbfd22",
+        "da9f7075dd63abc48f1bc8bbe6423e6e519e71ab45671205ab105b50eb15fea3"),
     "hidden_from_ap_cac": (
         {1: 1791, 2: 1487, 3: 120},
         {1: 1777, 2: 1299, 3: 0},
@@ -216,7 +241,9 @@ _GOLDEN = {
         {1: 0, 2: 0, 3: 15},
         {1: 2665500, 2: 1948500, 3: 0},
         {1: (1136, 164), 2: (1581, 14), 3: (2623, 171)},
-        80),
+        80,
+        "0727b23748fc7cfbddd0dac6299048bc8772f25c3568fd69e26488a1c97818c1",
+        "9ed764d361ab6fa9983f81406363510484a0c3ba2dd3a38b003e0151e60e2e63"),
     "chain_links_static": (
         {1: 697, 2: 141, 3: 835, 4: 1779},
         {1: 308, 2: 48, 3: 446, 4: 1580},
@@ -224,7 +251,9 @@ _GOLDEN = {
         {1: 25, 2: 9, 3: 18, 4: 2},
         {1: 462000, 2: 72000, 3: 669000, 4: 2370000},
         {1: (1521, 167), 2: (1962, 373), 3: (1516, 165), 4: (530, 233)},
-        100),
+        100,
+        "3638ddf0700ad251556887d802a89c222e42fcb59cb8e44d2f1339a350e08855",
+        "8c339854755f1cca6bd2629c86ff4c50c5172bf8ec88a86d44b6d628dd0de39a"),
     "chain_links_dac": (
         {1: 1662, 2: 1582, 3: 64},
         {1: 1496, 2: 1409, 3: 0},
@@ -232,7 +261,63 @@ _GOLDEN = {
         {1: 0, 2: 0, 3: 8},
         {1: 2244000, 2: 2113500, 3: 0},
         {1: (1261, 155), 2: (1287, 145), 3: (2542, 300)},
-        80),
+        80,
+        "7718c9fc16338726267704f576d44ad42ff8a93b1fd0af4987714142a33c867f",
+        "95bcad846aa7adab670dab5555e37c4b2f91e94f04a087772bd5aeb09c312130"),
+    "mix12_dac_threshold": (
+        {1: 349, 2: 412, 3: 492, 4: 376, 5: 149, 6: 483, 7: 88, 8: 370, 9: 116, 10: 512,
+         11: 110, 12: 488},
+        {1: 285, 2: 361, 3: 357, 4: 302, 5: 70, 6: 363, 7: 0, 8: 260, 9: 2, 10: 383,
+         11: 3, 12: 336},
+        {1: 64, 2: 52, 3: 135, 4: 74, 5: 79, 6: 120, 7: 79, 8: 109, 9: 107, 10: 130,
+         11: 99, 12: 153},
+        {1: 0, 2: 0, 3: 0, 4: 0, 5: 4, 6: 0, 7: 11, 8: 1, 9: 13, 10: 0, 11: 12, 12: 0},
+        {1: 427500, 2: 541500, 3: 535500, 4: 453000, 5: 105000, 6: 544500, 7: 0,
+         8: 390000, 9: 3000, 10: 574500, 11: 4500, 12: 504000},
+        {1: (1547, 525), 2: (1589, 538), 3: (1489, 473), 4: (1626, 530), 5: (1708, 543),
+         6: (1486, 482), 7: (1701, 548), 8: (1564, 489), 9: (1630, 563),
+         10: (1464, 466), 11: (1667, 550), 12: (1517, 460)},
+        260,
+        "91057903b58e7e51b7ed5ae54d01523729c1824c8bd090f146127eeee8bfe9e8",
+        "7204e91ca332cf267b14d495ee4bec6c9c37fdb8a94898e3225af1157cf55021"),
+    "pair_cac_n40": (
+        {1: 82, 2: 70, 3: 163, 4: 163, 5: 149, 6: 124, 7: 182, 8: 109, 9: 101, 10: 131,
+         11: 145, 12: 114, 13: 130, 14: 88, 15: 92, 16: 163, 17: 126, 18: 94, 19: 99,
+         20: 59, 21: 78, 22: 85, 23: 104, 24: 98, 25: 75, 26: 84, 27: 68, 28: 144,
+         29: 97, 30: 122, 31: 98, 32: 52, 33: 99, 34: 91, 35: 86, 36: 109, 37: 84,
+         38: 79, 39: 81, 40: 89},
+        {1: 39, 2: 32, 3: 117, 4: 119, 5: 105, 6: 80, 7: 127, 8: 73, 9: 56, 10: 86,
+         11: 93, 12: 67, 13: 73, 14: 57, 15: 47, 16: 98, 17: 71, 18: 56, 19: 49, 20: 27,
+         21: 47, 22: 47, 23: 63, 24: 57, 25: 39, 26: 38, 27: 26, 28: 86, 29: 56, 30: 77,
+         31: 55, 32: 24, 33: 58, 34: 49, 35: 48, 36: 57, 37: 42, 38: 38, 39: 44,
+         40: 46},
+        {1: 45, 2: 44, 3: 46, 4: 44, 5: 44, 6: 44, 7: 55, 8: 36, 9: 45, 10: 45, 11: 52,
+         12: 48, 13: 57, 14: 30, 15: 45, 16: 66, 17: 55, 18: 40, 19: 49, 20: 32, 21: 34,
+         22: 40, 23: 41, 24: 41, 25: 36, 26: 46, 27: 43, 28: 58, 29: 45, 30: 48, 31: 43,
+         32: 30, 33: 41, 34: 42, 35: 38, 36: 52, 37: 44, 38: 41, 39: 41, 40: 43},
+        {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0, 10: 0, 11: 0, 12: 0,
+         13: 0, 14: 1, 15: 0, 16: 0, 17: 0, 18: 0, 19: 1, 20: 0, 21: 0, 22: 0, 23: 0,
+         24: 0, 25: 0, 26: 0, 27: 0, 28: 0, 29: 0, 30: 0, 31: 0, 32: 0, 33: 0, 34: 0,
+         35: 0, 36: 0, 37: 0, 38: 0, 39: 0, 40: 0},
+        {1: 58500, 2: 48000, 3: 175500, 4: 178500, 5: 157500, 6: 120000, 7: 190500,
+         8: 109500, 9: 84000, 10: 129000, 11: 139500, 12: 100500, 13: 109500, 14: 85500,
+         15: 70500, 16: 147000, 17: 106500, 18: 84000, 19: 73500, 20: 40500, 21: 70500,
+         22: 70500, 23: 94500, 24: 85500, 25: 58500, 26: 57000, 27: 39000, 28: 129000,
+         29: 84000, 30: 115500, 31: 82500, 32: 36000, 33: 87000, 34: 73500, 35: 72000,
+         36: 85500, 37: 63000, 38: 57000, 39: 66000, 40: 69000},
+        {1: (1361, 885), 2: (1366, 885), 3: (1305, 875), 4: (1306, 873), 5: (1314, 876),
+         6: (1332, 877), 7: (1302, 865), 8: (1334, 881), 9: (1346, 879),
+         10: (1327, 877), 11: (1323, 870), 12: (1339, 876), 13: (1340, 867),
+         14: (1342, 884), 15: (1352, 880), 16: (1325, 858), 17: (1342, 872),
+         18: (1342, 880), 19: (1354, 875), 20: (1364, 885), 21: (1345, 884),
+         22: (1350, 879), 23: (1336, 877), 24: (1343, 876), 25: (1354, 883),
+         26: (1362, 876), 27: (1370, 880), 28: (1332, 858), 29: (1347, 873),
+         30: (1328, 871), 31: (1345, 876), 32: (1363, 889), 33: (1344, 874),
+         34: (1350, 877), 35: (1347, 881), 36: (1347, 872), 37: (1358, 876),
+         38: (1357, 881), 39: (1353, 879), 40: (1355, 875)},
+        820,
+        "5c70bf3ee0cf16db6389def1d80d8fad428b724c3545c0fb9857c238d5b11dd5",
+        "3aa172deb30d1e59795d312966c11952055e76dcaa6ac82b00ef887346961ff7"),
 }
 
 
@@ -241,11 +326,15 @@ class TestGolden:
     garbling, sniffing or event order moves these numbers."""
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
-    def test_exact_accounting(self, name):
+    def test_exact_accounting(self, name, tmp_path):
         sc = Scenario(duration_s=2.0, replications=1, name=name,
                       **_GOLDEN_SCENARIOS[name])
         assert not sc.is_fully_connected()
-        res = run_once(sc, 0)
+        frames = io.StringIO()
+        res = run_once(sc, 0, slot_log=slot_trace_writer(frames))
+        emit_outputs(ExperimentResult(sc, [res], [sc.seed]), str(tmp_path))
         got = (res.attempts, res.successes, res.retries, res.drops,
-               res.delivered_bytes, res.sniffed_flags, len(res.records))
+               res.delivered_bytes, res.sniffed_flags, len(res.records),
+               hashlib.sha256(frames.getvalue().encode()).hexdigest(),
+               hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest())
         assert got == _GOLDEN[name]
