@@ -165,8 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_presets = sub.add_parser("presets", help="list or show built-in scenarios")
-    p_presets.add_argument("--list", action="store_true")
-    p_presets.add_argument("--show", default=None)
+    shown = p_presets.add_mutually_exclusive_group()
+    shown.add_argument("--list", action="store_true",
+                       help="print every built-in scenario (the default)")
+    shown.add_argument("--show", default=None, metavar="NAME",
+                       help="print one built-in scenario as a config file")
     p_presets.set_defaults(func=cmd_presets)
 
     return parser

@@ -115,6 +115,7 @@ class ControlPlane:
             {i: initial_state(self.gains, floor, ceiling) for i in station_ids}
             if mode == "dac" else {})
         self.cw_cap_hits = 0   # announced/committed window pinned at a bound
+        self._names = {i: f"sta{i}" for i in station_ids}   # trace node names
 
     @staticmethod
     def _step_error(old: ControllerState, new: ControllerState) -> float | None:
@@ -151,10 +152,10 @@ class ControlPlane:
                 if new.cw_quantized in (new.cw_floor, new.cw_ceiling):
                     self.cw_cap_hits += 1
                 s.commit_cw_min(new.cw_quantized)
-                records.append(IntervalRecord(t_ms, f"sta{s.id}", p_obs, p_own,
+                records.append(IntervalRecord(t_ms, self._names[s.id], p_obs, p_own,
                                               err, new.cw_real, new.cw_quantized))
             else:
-                records.append(IntervalRecord(t_ms, f"sta{s.id}", p_obs, p_own,
+                records.append(IntervalRecord(t_ms, self._names[s.id], p_obs, p_own,
                                               None, None, s.cw_min_current))
 
         ap_counters.roll_interval()
@@ -206,11 +207,8 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     while interval_idx < n_intervals:
         if t >= next_beacon:
             for s in stations:
-                c, m = s.counters, missed[s.id]
-                c.r0 = ap_counters.r0 - m[0]
-                c.r1 = ap_counters.r1 - m[1]
-                c.r0_total += c.r0
-                c.r1_total += c.r1
+                m = missed[s.id]
+                s.counters.credit(ap_counters.r0 - m[0], ap_counters.r1 - m[1])
                 m[0] = m[1] = 0
             records.extend(control.beacon_update(next_beacon // 1000,
                                                  stations, ap_counters))

@@ -39,6 +39,14 @@ class BeaconCounters:
             self.r0 += 1
             self.r0_total += 1
 
+    def credit(self, r0: int, r1: int) -> None:
+        """Set this interval's flag tallies, counted elsewhere, and add them
+        to the whole-run tallies."""
+        self.r0 = r0
+        self.r1 = r1
+        self.r0_total += r0
+        self.r1_total += r1
+
     def roll_interval(self) -> None:
         """Close the interval: reset flag tallies, remember cumulative marks."""
         self.r0 = 0

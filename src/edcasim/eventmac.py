@@ -9,13 +9,25 @@ Carrier sense, freezing, EIFS deference and sniffer visibility are all
 evaluated per vantage point. A transmitting station is deaf for the duration
 of its own frame.
 
-Each event touches only the stations that can hear it. The hearing matrix
-is turned, once, into a tuple of hearers for every source (AP = 0) and an
-int bitmask "audience" of the stations that receive its frames; a station
-keeps a count of the frames it hears on the air, and loses (garbles) every
-frame that overlaps another one it receives. A station's pending start is
-not a heap entry: it sits in a table until it is the earliest event, and a
-freeze simply deletes it.
+Stations with equal heard sets form a hearing class. They see the same busy
+and idle edges, and every frame's audience (its source and the stations that
+hear it) is a union of whole classes, so a frame lost at one member is lost
+at all of them. Each event therefore touches only the classes that hear it:
+
+- A class counts the frames it hears on the air and keeps one idle-slot
+  clock: the time its members' deference ends (`anchor`), the idle slots
+  counted down so far (`idle`) and a heap of (fire slot, station). A freeze
+  or a resume moves the clock, not its members.
+- A station leaves the clock while its own exchange is in flight. Back in
+  contention it counts down on its own, as does a member that defers EIFS
+  while the clock defers AIFS. It rejoins the clock when the class next
+  resumes and its deference ends with the clock's.
+- A class keeps one tally of the frames it heard cleanly, and each station's
+  sniffed counters are read off it at the beacon, less its own frames.
+
+A pending start is not a heap entry: each class posts its clock's earliest
+start, and each lone station its own, in a table that the main loop orders
+against the heap by the same (time, priority, sequence) key.
 """
 
 from __future__ import annotations
@@ -39,6 +51,16 @@ _P_BEACON = 3
 _P_START = 4
 
 
+def hearing_classes(heard: dict[int, set[int]]) -> list[tuple[int, ...]]:
+    """Group the stations of `heard` (station id -> audible node ids, AP = 0)
+    by equal heard sets, each taken with the station itself, in station
+    order."""
+    classes: dict[frozenset, list[int]] = {}
+    for i in sorted(heard):
+        classes.setdefault(frozenset(heard[i]) | {i}, []).append(i)
+    return [tuple(members) for members in classes.values()]
+
+
 class _Tx:
     """One transmission on the air (data frame, ACK, or beacon)."""
 
@@ -59,6 +81,24 @@ class _Tx:
         self.owner = owner                    # data frame an ACK responds to
 
 
+class _HearingClass:
+    """One hearing class: its frames on the air, its clock and its tally."""
+
+    __slots__ = ("members", "count", "anchor", "idle", "clock", "clock_mask",
+                 "seq", "loners", "sniffed")
+
+    def __init__(self, members: tuple[int, ...]):
+        self.members = members
+        self.count = 0          # frames on the air that its members hear
+        self.anchor = 0         # when the clock's members end their deference
+        self.idle = 0           # idle slots counted on the clock
+        self.clock: list[tuple[int, int]] = []   # heap of (fire slot, station id)
+        self.clock_mask = 0     # bitmask of the clock's members
+        self.seq = 0            # sequence number of the clock's starts
+        self.loners: set[int] = set()   # members off the clock, not in flight
+        self.sniffed = [0, 0]   # (r0, r1) of frames heard cleanly this interval
+
+
 class EventEngine:
     def __init__(self, stations: list[Station], profile: PhyProfile,
                  capture: CaptureModel, control: ControlPlane,
@@ -71,6 +111,7 @@ class EventEngine:
             raise ValueError("the hidden-topology engine supports saturated traffic only")
         self.slot_log = slot_log
         self.stations = {s.id: s for s in stations}
+        self._station_list = list(self.stations.values())
         self.profile = profile
         self.capture = capture
         self.control = control
@@ -78,26 +119,36 @@ class EventEngine:
         self.duration_us = duration_us
         self.ap_counters = BeaconCounters()
 
-        # Per source: the stations that hear it, in station order, and its
-        # audience bitmask (those stations plus the source itself).
-        self._hearers: dict[int, tuple[int, ...]] = {}
+        self._classes = [_HearingClass(m) for m in hearing_classes(heard)]
+        self._class_of = {i: c for c in self._classes for i in c.members}
+        # Per source: the classes with a member that hears it (its own class
+        # if it has other members), and its audience bitmask of stations
+        # (the source and those that hear it).
+        self._hearing: dict[int, tuple[_HearingClass, ...]] = {}
         self._audience: dict[int, int] = {}
+        masks = {c: sum(1 << i for i in c.members) for c in self._classes}
         for src in (AP, *self.stations):
-            hearers = tuple(i for i in self.stations
-                            if i != src and src in heard[i])
-            self._hearers[src] = hearers
-            self._audience[src] = sum(1 << i for i in {src, *hearers} - {AP})
+            own = self._class_of.get(src)
+            hearing = tuple(c for c in self._classes
+                            if (len(c.members) > 1 if c is own
+                                else src in heard[c.members[0]]))
+            self._hearing[src] = hearing
+            self._audience[src] = sum(masks[c] for c in hearing) | (
+                1 << src if src != AP else 0)
 
         self._heap: list = []
         self._seq = itertools.count()
-        # station -> its pending start (fire time, _P_START, seq, station),
-        # ordered against heap entries by the same (time, prio, seq) key
-        self._starts: dict[int, tuple] = {}
+        # class -> its clock's earliest start, or lone station -> its start:
+        # (fire time, _P_START, seq, station, class or None), ordered against
+        # heap entries by the same (time, prio, seq) key
+        self._starts: dict = {}
         self._ongoing: list[_Tx] = []
-        self._heard_count = dict.fromkeys(self.stations, 0)   # audible frames on air
+        # when each station off its class's clock ends its deference
         self._resume_at = dict.fromkeys(self.stations, 0)
         self._garbled_since = 0     # bitmask: lost a frame since it last deferred
-        self._in_flight = dict.fromkeys(self.stations, False)
+        # (r0, r1) of each station's own frames in its class's tally
+        self._own = {i: [0, 0] for i in self.stations}
+        self._ap_decoded = [0, 0]   # (r0, r1) of frames the AP decoded this interval
         self._ap_tx_until = 0
         self.records = []
 
@@ -110,42 +161,89 @@ class EventEngine:
 
     # -- countdown management -----------------------------------------------
 
-    def _freeze(self, ids, t: int) -> None:
-        """Stations that start hearing activity at t freeze their countdown,
-        keeping whole slots, and their pending start is cancelled."""
+    def _post(self, c: _HearingClass) -> None:
+        """Table the earliest start on the non-empty clock of an idle class."""
+        fire, i = c.clock[0]
+        self._starts[c] = (c.anchor + (fire - c.idle) * self.profile.slot_time,
+                           _P_START, c.seq, i, c)
+
+    def _freeze(self, classes, t: int) -> None:
+        """Classes that start hearing activity at t freeze their countdown,
+        keeping whole slots, and their pending starts are cancelled. A start
+        that fires at t stands: simultaneous transmissions. A clock freezes
+        as one, counting the idle slots since its anchor; lone members
+        freeze one by one."""
         stations, resume_at, starts = self.stations, self._resume_at, self._starts
         slot = self.profile.slot_time
-        for i in ids:
-            st = stations[i]
-            backoff = st.backoff_counter
-            elapsed = t - resume_at[i]
-            if elapsed == backoff * slot:
-                continue   # its own start fires this tick: simultaneous transmissions
-            if elapsed > 0:
-                backoff -= elapsed // slot
-                st.backoff_counter = backoff if backoff > 0 else 0
-            del starts[i]
+        for c in classes:
+            clock = c.clock
+            if clock:
+                del starts[c]
+                anchor, idle = c.anchor, c.idle
+                while clock and anchor + (clock[0][0] - idle) * slot == t:
+                    fire, i = heapq.heappop(clock)    # fires at t, off the clock
+                    c.clock_mask ^= 1 << i
+                    c.loners.add(i)
+                    stations[i].backoff_counter = fire - idle
+                    resume_at[i] = anchor
+                    starts[i] = (t, _P_START, c.seq, i, None)
+                if t > anchor:
+                    c.idle = idle + (t - anchor) // slot
+            for i in c.loners:
+                st = stations[i]
+                elapsed = t - resume_at[i]
+                if elapsed == st.backoff_counter * slot:
+                    continue
+                if elapsed > 0:
+                    st.backoff_counter -= elapsed // slot
+                del starts[i]
 
-    def _resume(self, ids, t: int) -> None:
-        """Stations that hear an idle channel from t on defer AIFS, or EIFS
-        after a lost frame, then count down to a pending start."""
-        stations, resume_at, starts, seq = (self.stations, self._resume_at,
-                                            self._starts, self._seq)
+    def _resume(self, classes, t: int) -> None:
+        """Classes that hear an idle channel from t on defer AIFS, or EIFS
+        after a lost frame, then count down. The whole batch takes one
+        sequence number: ties within it go in station order."""
+        seq = next(self._seq)
         profile = self.profile
-        slot, aifs, eifs = profile.slot_time, profile.aifs, profile.eifs
-        garbled = self._garbled_since
-        for i in ids:
-            if garbled and garbled >> i & 1:
-                garbled ^= 1 << i
-                anchor = t + eifs
-            else:
-                anchor = t + aifs
-            if anchor < resume_at[i]:
-                anchor = resume_at[i]
-            resume_at[i] = anchor
-            starts[i] = (anchor + stations[i].backoff_counter * slot, _P_START,
-                         next(seq), i)
-        self._garbled_since = garbled
+        for c in classes:
+            c.seq = seq
+            if c.clock:
+                # garbling marks whole classes, so the clock's members agree
+                if self._garbled_since & c.clock_mask:
+                    self._garbled_since &= ~c.clock_mask
+                    anchor = t + profile.eifs
+                else:
+                    anchor = t + profile.aifs
+                if anchor > c.anchor:
+                    c.anchor = anchor
+            if c.loners:
+                loners, c.loners = c.loners, set()
+                for i in loners:
+                    self._count_down(c, i, t, seq)
+            if c.clock:
+                self._post(c)
+
+    def _count_down(self, c: _HearingClass, i: int, t: int, seq: int) -> None:
+        """Station i of class c hears an idle channel from t on. It joins the
+        clock if its deference ends with the clock's in the same batch, or the
+        clock is empty; otherwise it counts down alone."""
+        profile = self.profile
+        anchor = t + profile.aifs
+        if self._garbled_since >> i & 1:
+            self._garbled_since ^= 1 << i
+            anchor = t + profile.eifs
+        if anchor < self._resume_at[i]:
+            anchor = self._resume_at[i]
+        backoff = self.stations[i].backoff_counter
+        if not c.clock:
+            c.anchor, c.seq = anchor, seq
+        if anchor == c.anchor and seq == c.seq:
+            heapq.heappush(c.clock, (c.idle + backoff, i))
+            c.clock_mask |= 1 << i
+        else:
+            c.loners.add(i)
+            self._resume_at[i] = anchor
+            self._starts[i] = (anchor + backoff * profile.slot_time, _P_START, seq, i,
+                               None)
 
     # -- channel bookkeeping ------------------------------------------------
 
@@ -174,32 +272,45 @@ class EventEngine:
             self._ap_tx_until = tx.end
         self._ongoing.append(tx)
 
-        # Deaf while transmitting or awaiting a response: such a station
-        # still counts the frame, and loses it through garbled_at above.
-        count, in_flight = self._heard_count, self._in_flight
+        # A member in flight is deaf to the busy channel, not to the frame:
+        # it loses the frame through garbled_at above.
         idle = []
-        for i in self._hearers[tx.src]:
-            if not count[i] and not in_flight[i]:
-                idle.append(i)
-            count[i] += 1
-        self._freeze(idle, tx.start)
+        for c in self._hearing[tx.src]:
+            if not c.count:
+                idle.append(c)
+            c.count += 1
+        if idle:
+            self._freeze(idle, tx.start)
 
     def _end_tx(self, t: int, tx: _Tx) -> None:
         self._ongoing.remove(tx)
-        count, in_flight = self._heard_count, self._in_flight
         idle = []
-        for i in self._hearers[tx.src]:
-            count[i] -= 1
-            if not count[i] and not in_flight[i]:
-                idle.append(i)
-        self._resume(idle, t)
+        for c in self._hearing[tx.src]:
+            c.count -= 1
+            if not c.count:
+                idle.append(c)
+        if idle:
+            self._resume(idle, t)
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_tx_start(self, t, i):
+    def _on_start(self, start: tuple) -> None:
+        """Take a tabled start off its clock, or off its lone station, and
+        transmit."""
+        t, _prio, _seq, i, c = start
+        if c is None:
+            del self._starts[i]
+            self._class_of[i].loners.discard(i)
+        else:
+            heapq.heappop(c.clock)
+            c.clock_mask ^= 1 << i
+            self._resume_at[i] = c.anchor
+            if c.clock:
+                self._post(c)
+            else:
+                del self._starts[c]
         st = self.stations[i]
         st.note_attempt()
-        self._in_flight[i] = True
         tx = _Tx(src=i, start=t, end=t + data_airtime(self.profile, st.payload_bytes),
                  kind="data", snr=st.snr_db, retry_flag=st.retry_flag)
         self._begin_tx(tx)
@@ -214,17 +325,22 @@ class EventEngine:
 
     def _on_data_end(self, t, tx: _Tx):
         self._end_tx(t, tx)
-        # Sniffers: every station that heard the whole frame cleanly.
-        stations, garbled = self.stations, tx.garbled_at
-        for i in self._hearers[tx.src]:
-            if not garbled >> i & 1:
-                stations[i].counters.observe_frame(tx.retry_flag)
+        # Sniffers: every class that heard the whole frame cleanly. The
+        # source's own class counts it for the other members, so the source
+        # notes it as its own.
+        src, garbled, flag = tx.src, tx.garbled_at, tx.retry_flag
+        mine = self._class_of[src]
+        for c in self._hearing[src]:
+            if not garbled >> c.members[0] & 1:
+                c.sniffed[flag] += 1
+                if c is mine:
+                    self._own[src][flag] += 1
         decoded = self._decoded_at_ap(tx)
         if self.slot_log is not None:
             self.slot_log(FrameRecord(tx.start, tx.src, decoded,
                                       len(tx.overlap_snrs), tx.retry_flag))
         if decoded:
-            self.ap_counters.observe_frame(tx.retry_flag)
+            self._ap_decoded[flag] += 1
             self._push(t + self.profile.sifs, _P_ACK, EventEngine._on_ack_start, tx)
         else:
             self._push(t + self.profile.ack_timeout, _P_FAIL, EventEngine._on_tx_fail, tx)
@@ -258,18 +374,37 @@ class EventEngine:
         self._finish_exchange(frame.src, t)
 
     def _finish_exchange(self, src: int, t: int) -> None:
-        """Return a station to contention after its own exchange resolves."""
-        self._in_flight[src] = False
-        if not self._heard_count[src]:
-            # fresh listening period: stale overlap marks from the station's
-            # own transmission must not turn the next deference into EIFS
-            self._garbled_since &= ~(1 << src)
-            self._resume((src,), t)
+        """Return a station to contention after its own exchange resolves:
+        off the clock, it counts down from t if its class hears an idle
+        channel, or waits for the class to resume."""
+        c = self._class_of[src]
+        if c.count:
+            c.loners.add(src)
+            return
+        # fresh listening period: stale overlap marks from the station's
+        # own transmission must not turn the next deference into EIFS
+        self._garbled_since &= ~(1 << src)
+        fresh = not c.clock
+        self._count_down(c, src, t, next(self._seq))
+        if fresh:
+            self._post(c)   # it started the clock
 
     def _on_beacon(self, t, _payload):
         self._beacons_left -= 1
+        # The interval's flag tallies: the frames the AP decoded, and each
+        # station's read off its class's, less its own frames.
+        decoded = self._ap_decoded
+        self.ap_counters.credit(decoded[0], decoded[1])
+        for s in self._station_list:
+            own = self._own[s.id]
+            heard = self._class_of[s.id].sniffed
+            s.counters.credit(heard[0] - own[0], heard[1] - own[1])
+            own[0] = own[1] = 0
         self.records.extend(self.control.beacon_update(
-            t // 1000, list(self.stations.values()), self.ap_counters))
+            t // 1000, self._station_list, self.ap_counters))
+        decoded[0] = decoded[1] = 0
+        for c in self._classes:
+            c.sniffed[0] = c.sniffed[1] = 0
         start = max(t, self._ap_tx_until)
         beacon = _Tx(src=AP, start=start, end=start + self.profile.beacon_airtime,
                      kind="beacon")
@@ -282,25 +417,32 @@ class EventEngine:
         n_intervals = self.duration_us // self.profile.beacon_interval
         if n_intervals < 1:
             raise ValueError("duration shorter than one beacon interval")
-        self._resume(self.stations, 0)
+        # every station starts off the clock; the first resume puts each
+        # class's members on it together
+        for c in self._classes:
+            c.loners.update(c.members)
+        self._resume(self._classes, 0)
         for k in range(1, n_intervals + 1):
             self._push(k * self.profile.beacon_interval, _P_BEACON,
                        EventEngine._on_beacon, None)
 
         # Events run in (time, priority, sequence) order. A pending start
-        # carries its sequence number from when it was scheduled, so it
-        # takes its turn against the heap exactly as a heap entry would.
+        # carries the sequence number of the batch that scheduled it, and
+        # ties within a batch go in station order, so it takes its turn
+        # against the heap exactly as a heap entry would.
         heap, starts = self._heap, self._starts
         self._beacons_left = n_intervals
         while self._beacons_left:
             if starts:
                 start = min(starts.values())
                 if start < heap[0]:
-                    del starts[start[3]]
-                    self._on_tx_start(start[0], start[3])
+                    self._on_start(start)
                     continue
             t, _prio, _seq, handler, payload = heapq.heappop(heap)
             handler(self, t, payload)
 
-        return RunResult.from_stations(list(self.stations.values()), self.records,
+        for c in self._classes:   # each counter as its clock last froze it
+            for fire, i in c.clock:
+                self.stations[i].backoff_counter = fire - c.idle
+        return RunResult.from_stations(self._station_list, self.records,
                                        n_intervals * self.profile.beacon_interval)

@@ -1,15 +1,17 @@
 import hashlib
 import io
+from collections import defaultdict
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from edcasim.controllers import compute_p_opt
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
-from edcasim.eventmac import EventEngine
+from edcasim.eventmac import EventEngine, hearing_classes
 from edcasim.harness import (ExperimentResult, _build_stations, emit_outputs, run_once,
                              slot_trace_writer)
 from edcasim.mac import CAPTURE_MODES, CaptureModel
-from edcasim.scenario import ConfigError, Scenario
+from edcasim.scenario import ConfigError, Scenario, hidden_node_visibility
 
 
 def hidden_pair_scenario(controller="edca-static", **kw):
@@ -338,3 +340,105 @@ class TestGolden:
                hashlib.sha256(frames.getvalue().encode()).hexdigest(),
                hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest())
         assert got == _GOLDEN[name]
+
+
+def _classes_of(**kw):
+    base = dict(controller="edca-static", duration_s=1.0, replications=1,
+                name="classes")
+    base.update(kw)
+    return hearing_classes(hidden_node_visibility(Scenario(**base))[0])
+
+
+class TestHearingClasses:
+    def test_hidden_pair_among_many(self):
+        # the shape of the benchmark's hidden_n160
+        assert _classes_of(snr_db=(30.0,) * 160, hidden_pairs=((1, 2),)) == [
+            (1,), (2,), tuple(range(3, 161))]
+
+    @pytest.mark.parametrize("kw", [
+        dict(snr_db=(30.0,) * 3, hidden_pairs=((1, 3),)),
+        _GOLDEN_SCENARIOS["chain_links_static"]])
+    def test_chains_are_singletons(self, kw):
+        n = len(kw["snr_db"])
+        assert _classes_of(**kw) == [(i,) for i in range(1, n + 1)]
+
+    def test_mixed_topology(self):
+        assert _classes_of(**_GOLDEN_SCENARIOS["mix12_dac_threshold"]) == [
+            (1, 5, 6, 8, 10, 12), (2,), (3,), (4,), (7,), (9,), (11,)]
+
+
+class _RecordingEngine(EventEngine):
+    """Records every frame put on the air with the frames already on it."""
+
+    def _begin_tx(self, tx):
+        self.on_air.append((tx, list(self._ongoing)))
+        super()._begin_tx(tx)
+
+
+@st.composite
+def hidden_scenarios(draw):
+    """Short saturated runs on random small topologies with hidden pairs,
+    stations hidden from the AP and one-way links."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    station = st.integers(min_value=1, max_value=n)
+    pair = st.tuples(station, station).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=3))
+    links = draw(st.lists(pair, max_size=2))
+    from_ap = draw(st.lists(station, max_size=1))
+    assume(pairs or links or from_ap)
+    return Scenario(
+        snr_db=tuple(draw(st.lists(st.sampled_from((40.0, 35.0, 30.0, 25.0, 20.0)),
+                                   min_size=n, max_size=n))),
+        controller=draw(st.sampled_from(CONTROLLERS)),
+        capture_mode=draw(st.sampled_from(CAPTURE_MODES)),
+        static_beb=draw(st.booleans()),
+        hidden_pairs=tuple(pairs), hidden_from_ap=tuple(from_ap),
+        hidden_links=tuple(links), allow_asymmetric=bool(links),
+        duration_s=1.0, replications=1, seed=draw(st.integers(0, 10_000)),
+        name="prop")
+
+
+class TestClassSniffing:
+    # A station loses a frame when another frame overlaps it that the station
+    # also hears or sends. Since stations with equal heard sets hear the same
+    # sources, each data frame is lost at all other members of a hearing
+    # class or at none, and one tally per class gives every sniffer's counts.
+    @settings(max_examples=15, deadline=None)
+    @given(hidden_scenarios())
+    def test_losses_are_whole_classes_and_tallies_match(self, sc):
+        heard, ap_hears = hidden_node_visibility(sc)
+        profile = sc.phy()
+        stations = _build_stations(sc, sc.seed)
+        control = ControlPlane(sc.controller, [s.id for s in stations], profile,
+                               compute_p_opt(profile, sc.payload_bytes).p_opt)
+        capture = CaptureModel(mode=sc.capture_mode,
+                               threshold_db=sc.capture_threshold_db)
+        engine = _RecordingEngine(stations, profile, capture, control, heard,
+                                  ap_hears, sc.duration_us)
+        engine.on_air = []
+        res = engine.run()
+
+        def hears_or_sends(v, src):
+            return v == src or src in heard[v]
+
+        lost = defaultdict(set)
+        for tx, ongoing in engine.on_air:
+            for f in ongoing:
+                for v in heard:
+                    if hears_or_sends(v, tx.src) and hears_or_sends(v, f.src):
+                        lost[tx].add(v)
+                        lost[f].add(v)
+        classes = hearing_classes(heard)
+        expected = {v: [0, 0] for v in heard}
+        end = res.duration_us
+        for tx, _ in engine.on_air:
+            if tx.kind != "data":
+                continue
+            for members in classes:
+                others = {v for v in members if v != tx.src}
+                assert others <= lost[tx] or not others & lost[tx]
+            if tx.end <= end:
+                for v in heard:
+                    if v != tx.src and tx.src in heard[v] and v not in lost[tx]:
+                        expected[v][tx.retry_flag] += 1
+        assert res.sniffed_flags == {v: tuple(t) for v, t in expected.items()}

@@ -336,6 +336,15 @@ class TestCli:
         assert cli_main(["presets", "--list"]) == 0
         out = capsys.readouterr().out
         assert "fig5_cac_point_of_operation" in out
+        assert cli_main(["presets"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_presets_list_and_show_conflict(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["presets", "--list", "--show", "fig7_udp_total"])
+        assert exc.value.code == 2
+        assert "argument --show: not allowed with argument --list" in \
+            capsys.readouterr().err
 
     def test_presets_show_round_trips(self, capsys):
         assert cli_main(["presets", "--show", "fig7_udp_total"]) == 0
