@@ -14,20 +14,21 @@ and idle edges, and every frame's audience (its source and the stations that
 hear it) is a union of whole classes, so a frame lost at one member is lost
 at all of them. Each event therefore touches only the classes that hear it:
 
-- A class counts the frames it hears on the air and keeps one idle-slot
-  clock: the time its members' deference ends (`anchor`), the idle slots
-  counted down so far (`idle`) and a heap of (fire slot, station). A freeze
-  or a resume moves the clock, not its members.
-- A station leaves the clock while its own exchange is in flight. Back in
-  contention it counts down on its own, as does a member that defers EIFS
-  while the clock defers AIFS. It rejoins the clock when the class next
-  resumes and its deference ends with the clock's.
-- A class keeps one tally of the frames it heard cleanly, and each station's
-  sniffed counters are read off it at the beacon, less its own frames.
+- A class counts the frames its members hear on the air and keeps one
+  idle-slot clock: when its deference ends (`anchor`), the idle slots
+  counted since (`idle`) and a heap of (fire slot, station). A freeze or a
+  resume moves the clock, not its members.
+- A station leaves the clock while its own exchange is in flight, and then
+  counts down alone, as does a member that defers EIFS while the clock
+  defers AIFS. It rejoins at the next resume of its class whose deference
+  ends with the clock's.
+- A class keeps one tally of the data frames it heard cleanly. At the
+  beacon each station's sniffed counters are read off it, less the
+  station's own frames.
 
-A pending start is not a heap entry: each class posts its clock's earliest
-start, and each lone station its own, in a table that the main loop orders
-against the heap by the same (time, priority, sequence) key.
+A pending start is not a heap entry: each class tables its clock's earliest
+start, and each lone station its own, and the main loop orders them against
+the heap by the same (time, priority, sequence) key.
 """
 
 from __future__ import annotations
@@ -441,8 +442,5 @@ class EventEngine:
             t, _prio, _seq, handler, payload = heapq.heappop(heap)
             handler(self, t, payload)
 
-        for c in self._classes:   # each counter as its clock last froze it
-            for fire, i in c.clock:
-                self.stations[i].backoff_counter = fire - c.idle
         return RunResult.from_stations(self._station_list, self.records,
                                        n_intervals * self.profile.beacon_interval)
