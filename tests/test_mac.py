@@ -407,6 +407,12 @@ _SLOTTED_GOLDEN_SCENARIOS = {
                       capture_mode="threshold", traffic="onoff",
                       burst_bytes=150_000, silent_mean_s=0.2, seed=28),
     "dac_n40": dict(snr_db=(30.0,) * 40, controller="dac", seed=29),
+    # Short bursts and silences at n = 10: arrivals fall due together, during
+    # busy events and while nobody is backlogged.
+    "onoff_dac_n10": dict(snr_db=tuple(40.0 - 3.0 * i for i in range(10)),
+                          controller="dac", capture_mode="threshold",
+                          traffic="onoff", burst_bytes=15_000,
+                          silent_mean_s=0.05, seed=30),
 }
 
 _SLOTTED_GOLDEN = {
@@ -508,6 +514,17 @@ _SLOTTED_GOLDEN = {
          (1158, 1022), (1162, 1024), (1170, 1019), (1181, 1028), (1166, 1025)],
         820,
         "ad8137c730458d12aaaa637daeac4e2b95c5016b88b11e87fe05e608656b1c5d"),
+    "onoff_dac_n10": (
+        [285, 354, 266, 351, 326, 288, 408, 365, 269, 342],
+        [260, 319, 240, 300, 270, 235, 327, 300, 211, 280],
+        [25, 35, 26, 51, 56, 53, 81, 65, 58, 62],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [390000, 478500, 360000, 450000, 405000, 352500, 490500, 450000, 316500,
+         420000],
+        [(2091, 391), (2043, 380), (2111, 391), (2071, 371), (2096, 369),
+         (2126, 368), (2039, 348), (2057, 355), (2140, 359), (2066, 358)],
+        220,
+        "e78d9c7cca26911a188d74663bdca5229fdb440d2d3a28896848b8bf3904d814"),
 }
 
 
