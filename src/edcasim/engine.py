@@ -173,11 +173,13 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     while the channel is busy, so the loop keeps one count of elapsed idle
     slots and a heap of each backlogged station's fire slot: the count at
     its draw plus the drawn counter. A station transmits when the count
-    reaches its fire slot. Every station that does not transmit sniffs
-    exactly the frames the AP decodes, so each station keeps only the AP's
-    decoded flags of its own transmit events (`missed`), and its tallies are
-    read off the AP's at each beacon. Both make a channel event cost
-    O(transmitters); only the on/off activation scan is O(n) per event.
+    reaches its fire slot. A station with nothing to send waits in a heap
+    of arrival times; an idle jump ends at the first slot boundary at or
+    past the earliest arrival or the next beacon. Every station that does not transmit sniffs exactly the
+    frames the AP decodes, so it keeps only the AP's gains during its own
+    transmit events (`missed`), and its tallies are read off the AP's at
+    each beacon. So a channel event costs O(transmitters) for both traffic
+    kinds; only the set-up, the beacons and the end visit every station.
 
     `slot_log`, when given, receives a FrameRecord for every data frame.
     """
@@ -193,13 +195,15 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     t = 0
     next_beacon = profile.beacon_interval
     interval_idx = 0
-    onoff = any(s.traffic.kind == "onoff" for s in stations)
 
     idle = 0   # idle slots elapsed since the start of the run
     # (fire slot, station id, station): ties go in id order, the order of
     # `stations`, so each event resolves and logs its transmitters in order.
     fires = [(s.backoff_counter, s.id, s) for s in stations if s.backlogged]
     heapq.heapify(fires)
+    # (arrival time, station id, station) of each station with nothing to send.
+    arrivals = [(s.traffic.arrival_us, s.id, s) for s in stations if not s.backlogged]
+    heapq.heapify(arrivals)
     # Per station id: the AP's (r0, r1) gains this interval during the
     # station's own transmissions, which its sniffer missed.
     missed = {s.id: [0, 0] for s in stations}
@@ -217,27 +221,20 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             interval_idx += 1
             continue
 
-        if onoff:
-            for s in stations:
-                if not s.backlogged:
-                    s.maybe_activate(t)
-                    if s.backlogged:
-                        heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
+        while arrivals and arrivals[0][0] <= t:
+            s = heapq.heappop(arrivals)[2]
+            s.activate()
+            heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
+        # Both lie ahead of `t`, so every idle jump is at least one slot.
+        horizon = min(next_beacon, arrivals[0][0]) if arrivals else next_beacon
 
         if not fires:
-            pending = [s.traffic.arrival_us for s in stations
-                       if s.traffic.arrival_us is not None]
-            t = min([next_beacon] + [a for a in pending if a > t])
+            t = horizon
             continue
 
         wait = fires[0][0] - idle
         if wait > 0:
-            jump = min(wait, max(1, math.ceil((next_beacon - t) / slot)))
-            if onoff:
-                arrivals = [s.traffic.arrival_us for s in stations
-                            if not s.backlogged and s.traffic.arrival_us is not None]
-                if arrivals:
-                    jump = min(jump, max(1, math.ceil((min(arrivals) - t) / slot)))
+            jump = min(wait, math.ceil((horizon - t) / slot))
             idle += jump
             t += jump * slot
             continue
@@ -248,8 +245,7 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             s.backoff_counter = 0
             transmitters.append(s)
         r0, r1 = ap_counters.r0, ap_counters.r1
-        t += int(round(run_slot(transmitters, capture, profile, ap_counters, t,
-                                log_frame)))
+        t += run_slot(transmitters, capture, profile, ap_counters, t, log_frame)
         d0, d1 = ap_counters.r0 - r0, ap_counters.r1 - r1
         for s in transmitters:
             if d0 or d1:
@@ -258,6 +254,8 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
                 m[1] += d1
             if s.backlogged:
                 heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
+            else:
+                heapq.heappush(arrivals, (s.traffic.arrival_us, s.id, s))
 
     for fire, _, s in fires:
         s.backoff_counter = fire - idle

@@ -247,7 +247,7 @@ def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
                 fh.write(",".join([
                     str(rec.t_ms), rec.node, _fmt(rec.p_obs), _fmt(rec.p_own),
                     _fmt(rec.error), _fmt(rec.cw_real),
-                    _fmt(rec.cw_quantized) if rec.cw_quantized is not None else "",
+                    _fmt(rec.cw_quantized),
                 ]) + "\n")
         with open(paths["scenario.lock"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(emit_scenario(scenario))

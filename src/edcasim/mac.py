@@ -90,8 +90,8 @@ class TrafficSource:
         self.frames_left = self.burst_frames
         return False
 
-    def activate(self, now_us: int) -> None:
-        self.transfer_start = now_us
+    def activate(self) -> None:
+        self.transfer_start = self.arrival_us
         self.arrival_us = None
 
 
@@ -177,12 +177,11 @@ class Station:
         else:
             self.backlogged = False
 
-    def maybe_activate(self, now_us: int) -> None:
-        arrival = self.traffic.arrival_us
-        if not self.backlogged and arrival is not None and arrival <= now_us:
-            self.traffic.activate(arrival)
-            self.backlogged = True
-            self.draw_backoff()
+    def activate(self) -> None:
+        # Called once `traffic.arrival_us` has come: the burst starts then.
+        self.traffic.activate()
+        self.backlogged = True
+        self.draw_backoff()
 
     def roll_interval(self) -> None:
         self.counters.roll_interval()
@@ -190,9 +189,9 @@ class Station:
 
 
 def run_slot(transmitters: list[Station], capture: CaptureModel, profile: PhyProfile,
-             ap_counters: BeaconCounters, now_us: int = 0, log_frame=None) -> float:
+             ap_counters: BeaconCounters, now_us: int = 0, log_frame=None) -> int:
     """Resolve one busy channel event among `transmitters` and return its
-    duration [us].
+    duration in whole microseconds.
 
     The caller passes the stations whose backoff counter reached zero, at
     least one. One transmitter: success. Several: a collision, unless the
@@ -223,10 +222,11 @@ def run_slot(transmitters: list[Station], capture: CaptureModel, profile: PhyPro
         for s in transmitters:
             log_frame(now_us, s.id, s is winner, len(transmitters) - 1, s.retry_flag)
 
-    end = now_us + int(round(duration))
+    busy_us = int(round(duration))
+    end = now_us + busy_us
     for s in transmitters:
         if s is winner:
             s.resolve_success(end)
         elif s.resolve_failure():
             s.resolve_drop(end)
-    return duration
+    return busy_us
