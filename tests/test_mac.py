@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,6 +362,23 @@ class TestBeaconInterval:
             if rec.node == "ap" and rec.p_obs is not None:
                 assert rec.p_obs == 0.0
         assert res.drops[1] == 0
+
+    def test_idle_jump_onto_the_beacon_sends_after_it(self):
+        # With a 10 us slot the beacon falls on a slot boundary: a counter of
+        # exactly one interval's slots runs out on the beacon itself, and
+        # the beacon and its AIFS go first.
+        profile = replace(PROFILE_80211A_24, slot_time=10)
+        station = Station(station_id=1, snr_db=30.0, profile=profile,
+                          rng=random.Random("t/beacon"),
+                          traffic=TrafficSource("saturated", 1500), cw_min=16)
+        station.backoff_counter = profile.beacon_interval // profile.slot_time
+        control = ControlPlane("edca-static", [1], profile, 0.16)
+        frames = []
+        run_slotted([station], profile, NO_CAPTURE, control,
+                    2 * profile.beacon_interval, slot_log=frames.append)
+        start = profile.beacon_interval + profile.beacon_airtime + profile.aifs
+        assert start == 100_203
+        assert frames[0].start_us == start
 
 
 class TestOnOffTraffic:
