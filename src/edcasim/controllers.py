@@ -144,8 +144,3 @@ def dac_step(p_obs: float | None, p_own: float | None, state: ControllerState,
     if p_obs is None or p_own is None:
         return pi_update(state, None)
     return pi_update(state, dac_error(p_obs, p_own, p_opt))
-
-
-def effective_cw_max(cw_min: int, m: int, cw_ceiling: int) -> int:
-    """Backoff ceiling a station derives from its committed CW_min."""
-    return min(cw_min * (2 ** m), cw_ceiling)

@@ -235,10 +235,16 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
 
         wait = fires[0][0] - idle
         if wait > 0:
-            jump = min(wait, math.ceil((horizon - t) / slot))
-            idle += jump
-            t += jump * slot
-            continue
+            if t + wait * slot >= horizon:
+                # The jump reaches the horizon: stop at the first slot
+                # boundary at or past it, and let the next pass handle it.
+                jump = math.ceil((horizon - t) / slot)
+                idle += jump
+                t += jump * slot
+                continue
+            # The countdown ends before the horizon: transmit in this pass.
+            idle += wait
+            t += wait * slot
 
         transmitters = []
         while fires and fires[0][0] == idle:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .controllers import effective_cw_max
 from .estimators import BeaconCounters
 from .phy import PhyProfile, collision_duration, success_duration
 
@@ -95,6 +94,11 @@ class TrafficSource:
         self.arrival_us = None
 
 
+def effective_cw_max(cw_min: int, m: int, cw_ceiling: int) -> int:
+    """Backoff ceiling a station derives from its committed CW_min."""
+    return min(cw_min * (2 ** m), cw_ceiling)
+
+
 class Station:
     """Mutable per-station MAC state."""
 
@@ -105,8 +109,9 @@ class Station:
         self.profile = profile
         self.rng = rng
         self.traffic = traffic
-        self.cw_min_current = cw_min
+        self.payload_bytes = traffic.payload_bytes
         self.beb = beb
+        self.commit_cw_min(cw_min)
         self.retry_count = 0
         self.backlogged = traffic.kind == "saturated"
         self.backoff_counter = 0
@@ -125,28 +130,24 @@ class Station:
     def retry_flag(self) -> bool:
         return self.retry_count > 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.traffic.payload_bytes
-
     def current_cw(self) -> int:
-        if not self.beb:
-            return self.cw_min_current
-        ceiling = effective_cw_max(self.cw_min_current,
-                                   self.profile.m_backoff_stages,
-                                   self.profile.cw_ceiling)
-        return min(self.cw_min_current << self.retry_count, ceiling)
+        return min(self.cw_min_current << self.retry_count, self.cw_max)
 
     def draw_backoff(self) -> None:
-        self.backoff_counter = self.rng.randrange(self.current_cw())
+        # current_cw(), inlined: every attempt draws once.
+        self.backoff_counter = self.rng.randrange(
+            min(self.cw_min_current << self.retry_count, self.cw_max))
 
     def commit_cw_min(self, cw_min: int) -> None:
         # Takes effect at the next backoff draw; the running counter survives.
+        # Without BEB the ceiling is CW_min itself, so retries never widen it.
         self.cw_min_current = cw_min
+        self.cw_max = effective_cw_max(cw_min, self.profile.m_backoff_stages,
+                                       self.profile.cw_ceiling) if self.beb else cw_min
 
     def note_attempt(self) -> None:
         self._frame_attempts += 1
-        if self.retry_flag:
+        if self.retry_count:
             self.counters.failures_cumulative += 1   # driver retry counter
 
     def resolve_success(self, now_us: int) -> None:

@@ -5,8 +5,7 @@ import pytest
 
 from edcasim.controllers import (ControllerState, OptimalPoint, PiGains, cac_error,
                                  cac_step, compute_gains, compute_p_opt, dac_error,
-                                 dac_step, effective_cw_max, initial_state,
-                                 pi_update, quantize_cw)
+                                 dac_step, initial_state, pi_update, quantize_cw)
 from edcasim.engine import ControlPlane, run_slotted
 from edcasim.estimators import BeaconCounters, estimate_p_obs, estimate_p_own
 from edcasim.harness import _build_stations
@@ -275,10 +274,3 @@ class TestWindowBoundHits:
         run_slotted(stations, sc.phy(), CaptureModel(), control, sc.duration_us)
         assert all(s.cw_min_current == 16 for s in stations)
         assert control.cw_cap_hits == hits
-
-
-class TestEffectiveCwMax:
-    def test_doubling_capped_at_ceiling(self):
-        assert effective_cw_max(16, 6, 1024) == 1024
-        assert effective_cw_max(64, 6, 1024) == 1024
-        assert effective_cw_max(16, 2, 1024) == 64

@@ -11,7 +11,7 @@ from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
 from edcasim.estimators import BeaconCounters
 from edcasim.harness import run_once
 from edcasim.mac import (CAPTURE_MODES, TRAFFIC_KINDS, CaptureModel, Station,
-                         TrafficSource, resolve_capture, run_slot)
+                         TrafficSource, effective_cw_max, resolve_capture, run_slot)
 from edcasim.oracle import solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario
@@ -123,6 +123,40 @@ class TestRunSlot:
         assert not a.retry_flag
         a.retry_count = 3
         assert a.retry_flag
+
+
+class TestEffectiveCwMax:
+    def test_doubling_capped_at_ceiling(self):
+        assert effective_cw_max(16, 6, 1024) == 1024
+        assert effective_cw_max(64, 6, 1024) == 1024
+        assert effective_cw_max(16, 2, 1024) == 64
+
+
+# Power-of-two windows from the profile's floor to its ceiling.
+_POW2_CW = st.integers(PROFILE.cw_floor.bit_length() - 1,
+                       PROFILE.cw_ceiling.bit_length() - 1).map(lambda k: 1 << k)
+
+
+class TestCachedCeiling:
+    """`commit_cw_min` caches the backoff ceiling that every draw reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(), _POW2_CW,
+           st.lists(st.tuples(_POW2_CW, st.integers(0, PROFILE.max_retry)),
+                    min_size=1, max_size=8))
+    def test_window_after_every_commit(self, beb, first_cw, commits):
+        s = make_station(1, cw=first_cw, beb=beb)
+        for cw_min, retry_count in commits:
+            running = s.backoff_counter
+            s.commit_cw_min(cw_min)
+            assert s.backoff_counter == running
+            s.retry_count = retry_count
+            ceiling = effective_cw_max(cw_min, PROFILE.m_backoff_stages,
+                                       PROFILE.cw_ceiling)
+            window = min(cw_min << retry_count, ceiling) if beb else cw_min
+            assert s.current_cw() == window
+            s.draw_backoff()
+            assert 0 <= s.backoff_counter < window
 
 
 def run_scenario(controller="edca-static", n=5, duration_s=2.0, seed=42,
