@@ -174,13 +174,14 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     slots and a heap of each backlogged station's fire slot: the count at
     its draw plus the drawn counter. A station transmits when the count
     reaches its fire slot. A station with nothing to send waits in a heap
-    of arrival times; an idle jump ends at the first slot boundary at or
-    past the earliest arrival or the next beacon. Every station that does
-    not transmit sniffs exactly the frames the AP decodes, so it keeps only
-    the AP's gains during its own transmit events (`missed`), and its
-    tallies are read off the AP's at each beacon. So a channel event costs
-    O(transmitters) for both traffic kinds; only the set-up, the beacons and
-    the end visit every station.
+    of arrival times; an idle jump stops at the first slot boundary at or
+    past the earliest arrival or the next beacon, and a countdown that runs
+    out before then leads into its transmission in the same loop pass.
+    Every station that does not transmit sniffs exactly the frames the AP
+    decodes, so it keeps only the AP's gains during its own transmit events
+    (`missed`), and its tallies are read off the AP's at each beacon. So a
+    channel event costs O(transmitters) for both traffic kinds; only the
+    set-up, the beacons and the end visit every station.
 
     `slot_log`, when given, receives a FrameRecord for every data frame.
     """
