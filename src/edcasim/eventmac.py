@@ -29,6 +29,12 @@ at all of them. Each event therefore touches only the classes that hear it:
 A pending start is not a heap entry: each class tables its clock's earliest
 start, and each lone station its own, and the main loop orders them against
 the heap by the same (time, priority, sequence) key.
+
+Each step of an exchange (data start, data end, ACK start, ACK end) ends by
+scheduling the next one through `_then`. A step that sorts before the heap's
+first entry and every tabled start is the event the main loop would run
+next, so it runs at once instead of through the heap, and the order of
+events, hence every output, is the same.
 """
 
 from __future__ import annotations
@@ -114,6 +120,8 @@ class EventEngine:
         self.stations = {s.id: s for s in stations}
         self._station_list = list(self.stations.values())
         self.profile = profile
+        self._airtime = {s.id: data_airtime(profile, s.payload_bytes) for s in stations}
+        self._ack_timeout = profile.ack_timeout
         self.capture = capture
         self.control = control
         self.ap_hears = ap_hears
@@ -159,6 +167,19 @@ class EventEngine:
         """Schedule `handler(self, time, payload)`. Handlers are class-level
         functions, shared by every entry, not a bound method made per push."""
         heapq.heappush(self._heap, (time, prio, next(self._seq), handler, payload))
+
+    def _then(self, time, prio, handler, payload):
+        """Schedule the next step of the caller's own exchange, as its last
+        act. When that entry sorts before the heap's first entry and every
+        tabled start, it is the event the main loop would run next, so run
+        it now. The heap is never empty here: it holds the next beacon, and
+        the last beacon's handler schedules with `_push`."""
+        entry = (time, prio, next(self._seq), handler, payload)
+        heap, starts = self._heap, self._starts
+        if entry < heap[0] and not (starts and min(starts.values()) < entry):
+            handler(self, time, payload)
+        else:
+            heapq.heappush(heap, entry)
 
     # -- countdown management -----------------------------------------------
 
@@ -312,17 +333,9 @@ class EventEngine:
                 del self._starts[c]
         st = self.stations[i]
         st.note_attempt()
-        tx = _Tx(src=i, start=t, end=t + data_airtime(self.profile, st.payload_bytes),
-                 kind="data", snr=st.snr_db, retry_flag=st.retry_flag)
+        tx = _Tx(i, t, t + self._airtime[i], "data", st.snr_db, st.retry_count > 0)
         self._begin_tx(tx)
-        self._push(tx.end, _P_END, EventEngine._on_data_end, tx)
-
-    def _decoded_at_ap(self, tx: _Tx) -> bool:
-        if tx.ap_busy or tx.src not in self.ap_hears:
-            return False
-        if not tx.overlap_snrs:
-            return True
-        return self.capture.captures(tx.snr, max(tx.overlap_snrs))
+        self._then(tx.end, _P_END, EventEngine._on_data_end, tx)
 
     def _on_data_end(self, t, tx: _Tx):
         self._end_tx(t, tx)
@@ -336,32 +349,33 @@ class EventEngine:
                 c.sniffed[flag] += 1
                 if c is mine:
                     self._own[src][flag] += 1
-        decoded = self._decoded_at_ap(tx)
+        overlaps = tx.overlap_snrs
+        decoded = not tx.ap_busy and src in self.ap_hears and (
+            not overlaps or self.capture.captures(tx.snr, max(overlaps)))
         if self.slot_log is not None:
-            self.slot_log(FrameRecord(tx.start, tx.src, decoded,
-                                      len(tx.overlap_snrs), tx.retry_flag))
+            self.slot_log(FrameRecord(tx.start, src, decoded, len(overlaps), flag))
         if decoded:
             self._ap_decoded[flag] += 1
-            self._push(t + self.profile.sifs, _P_ACK, EventEngine._on_ack_start, tx)
+            self._then(t + self.profile.sifs, _P_ACK, EventEngine._on_ack_start, tx)
         else:
-            self._push(t + self.profile.ack_timeout, _P_FAIL, EventEngine._on_tx_fail, tx)
+            self._then(t + self._ack_timeout, _P_FAIL, EventEngine._on_tx_fail, tx)
 
     def _on_ack_start(self, t, frame: _Tx):
         if self._ap_tx_until > t:
             # Half-duplex AP busy with a beacon: the ACK is never sent.
-            self._push(frame.end + self.profile.ack_timeout, _P_FAIL,
+            self._then(frame.end + self._ack_timeout, _P_FAIL,
                        EventEngine._on_tx_fail, frame)
             return
         ack = _Tx(src=AP, start=t, end=t + self.profile.ack_duration,
                   kind="ack", owner=frame)
         self._begin_tx(ack)
-        self._push(ack.end, _P_END, EventEngine._on_ack_end, ack)
+        self._then(ack.end, _P_END, EventEngine._on_ack_end, ack)
 
     def _on_ack_end(self, t, ack: _Tx):
         self._end_tx(t, ack)
         src = ack.owner.src
         if ack.garbled_at >> src & 1:
-            self._push(ack.owner.end + self.profile.ack_timeout, _P_FAIL,
+            self._then(ack.owner.end + self._ack_timeout, _P_FAIL,
                        EventEngine._on_tx_fail, ack.owner)
             return
         st = self.stations[src]

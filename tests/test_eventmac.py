@@ -3,7 +3,7 @@ import io
 from collections import defaultdict
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from edcasim.controllers import compute_p_opt
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
@@ -367,6 +367,20 @@ class TestHearingClasses:
             (1, 5, 6, 8, 10, 12), (2,), (3,), (4,), (7,), (9,), (11,)]
 
 
+def _engine_for(cls, sc, slot_log=None):
+    """An event engine of class `cls` for replication 0 of `sc`, with the
+    topology `sc` gives."""
+    heard, ap_hears = hidden_node_visibility(sc)
+    profile = sc.phy()
+    stations = _build_stations(sc, sc.seed)
+    control = ControlPlane(sc.controller, [s.id for s in stations], profile,
+                           compute_p_opt(profile, sc.payload_bytes).p_opt)
+    capture = CaptureModel(mode=sc.capture_mode,
+                           threshold_db=sc.capture_threshold_db)
+    return cls(stations, profile, capture, control, heard, ap_hears,
+               sc.duration_us, slot_log=slot_log)
+
+
 class _RecordingEngine(EventEngine):
     """Records every frame put on the air with the frames already on it."""
 
@@ -406,15 +420,8 @@ class TestClassSniffing:
     @settings(max_examples=15, deadline=None)
     @given(hidden_scenarios())
     def test_losses_are_whole_classes_and_tallies_match(self, sc):
-        heard, ap_hears = hidden_node_visibility(sc)
-        profile = sc.phy()
-        stations = _build_stations(sc, sc.seed)
-        control = ControlPlane(sc.controller, [s.id for s in stations], profile,
-                               compute_p_opt(profile, sc.payload_bytes).p_opt)
-        capture = CaptureModel(mode=sc.capture_mode,
-                               threshold_db=sc.capture_threshold_db)
-        engine = _RecordingEngine(stations, profile, capture, control, heard,
-                                  ap_hears, sc.duration_us)
+        heard = hidden_node_visibility(sc)[0]
+        engine = _engine_for(_RecordingEngine, sc)
         engine.on_air = []
         res = engine.run()
 
@@ -442,3 +449,32 @@ class TestClassSniffing:
                     if v != tx.src and tx.src in heard[v] and v not in lost[tx]:
                         expected[v][tx.retry_flag] += 1
         assert res.sniffed_flags == {v: tuple(t) for v, t in expected.items()}
+
+
+class _UnchainedEngine(EventEngine):
+    """Pushes every step of an exchange onto the heap, for the main loop to
+    pop: the schedule that chaining must reproduce."""
+
+    def _then(self, time, prio, handler, payload):
+        self._push(time, prio, handler, payload)
+
+
+def _frames_and_result(cls, sc):
+    """The FrameRecords of a run and its RunResult, trace records included."""
+    frames = []
+    res = _engine_for(cls, sc, slot_log=frames.append).run()
+    return frames, res
+
+
+class TestChainedExchanges:
+    # A chained step sorts before every heap entry and tabled start, so it is
+    # the event the main loop would have popped next: running it at once
+    # leaves the frames, the trace records and the totals unchanged.
+    @settings(max_examples=20, deadline=None)
+    @given(hidden_scenarios())
+    @example(Scenario(snr_db=(40.0, 35.0, 30.0, 25.0, 20.0), controller="cac",
+                      capture_mode="threshold", duration_s=1.0, replications=1,
+                      seed=21, name="prop"))
+    def test_chaining_matches_the_unchained_schedule(self, sc):
+        assert _frames_and_result(EventEngine, sc) == _frames_and_result(
+            _UnchainedEngine, sc)
