@@ -5,7 +5,8 @@ centralized (AP-driven) and distributed (per-station) controller steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .phy import PhyProfile, collision_duration
 
@@ -31,9 +32,9 @@ class PiGains:
             raise ValueError("gains must be positive")
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """PI controller state tracked across beacon intervals.
+class ControllerState(NamedTuple):
+    """PI controller state tracked across beacon intervals: an immutable
+    value, built by keyword or position and compared by value.
 
     The recurrence runs on the unquantized cw_real; quantization to a power
     of 2 happens only at commit time.
@@ -107,12 +108,10 @@ def pi_update(state: ControllerState, error: float | None) -> ControllerState:
     """
     if error is None:
         return state
-    g = state.gains
-    cw = state.cw_real + g.k_p * error + (g.k_i - g.k_p) * state.prev_error
-    cw = min(max(cw, float(state.cw_floor)), float(state.cw_ceiling))
-    return replace(state, cw_real=cw,
-                   cw_quantized=quantize_cw(cw, state.cw_floor, state.cw_ceiling),
-                   prev_error=error)
+    g, floor, ceiling, cw, _, prev = state
+    cw = cw + g.k_p * error + (g.k_i - g.k_p) * prev
+    cw = min(max(cw, float(floor)), float(ceiling))
+    return ControllerState(g, floor, ceiling, cw, quantize_cw(cw, floor, ceiling), error)
 
 
 def initial_state(gains: PiGains, cw_floor: int, cw_ceiling: int) -> ControllerState:

@@ -26,9 +26,10 @@ class FrameRecord:
     retry: bool            # its retry flag
 
 
-@dataclass
+@dataclass(slots=True)
 class IntervalRecord:
-    """Per-node controller/estimator snapshot emitted each beacon interval."""
+    """Per-node controller/estimator snapshot emitted each beacon interval,
+    one per station per beacon, so it keeps no per-instance dict."""
 
     t_ms: int
     node: str
@@ -123,44 +124,50 @@ class ControlPlane:
 
     def beacon_update(self, t_ms: int, stations: list[Station],
                       ap_counters: BeaconCounters) -> list[IntervalRecord]:
-        records = []
-        ap_p_obs = estimate_p_obs(ap_counters, self.min_samples)
+        """Step the controllers on this interval's estimates, commit their
+        windows, roll the counters, and return the interval's records: the
+        AP's, then one per station in `stations` order.
 
+        Each station takes one pass: its estimates, its roll, its step, its
+        commit and its record. A station's estimates read only its own
+        counters, so rolling it inside the pass is exact."""
+        min_samples, max_retry, p_opt = self.min_samples, self.profile.max_retry, self.p_opt
+        names, states = self._names, self.dac_states
+        dac = self.mode == "dac"
+        ap_p_obs = estimate_p_obs(ap_counters, min_samples)
+        ap_counters.roll_interval()
+        announced = None
         if self.mode == "cac":
             old = self.cac_state
-            self.cac_state, announced = cac_step(ap_p_obs, old, self.p_opt)
-            err = self._step_error(old, self.cac_state)
-            if announced in (self.cac_state.cw_floor, self.cac_state.cw_ceiling):
+            new, announced = cac_step(ap_p_obs, old, p_opt)
+            self.cac_state = new
+            if announced in (new.cw_floor, new.cw_ceiling):
                 self.cw_cap_hits += 1
-            for s in stations:
-                s.commit_cw_min(announced)
-            records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, err,
-                                          self.cac_state.cw_real, announced))
+            records = [IntervalRecord(t_ms, "ap", ap_p_obs, None,
+                                      self._step_error(old, new), new.cw_real, announced)]
         else:
-            records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, None,
-                                          None, None))
+            records = [IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None)]
 
         for s in stations:
-            p_obs = estimate_p_obs(s.counters, self.min_samples)
-            p_own = estimate_p_own(s.counters, self.profile.max_retry,
-                                   s.dropped_this_interval)
-            if self.mode == "dac":
-                old = self.dac_states[s.id]
-                new = dac_step(p_obs, p_own, old, self.p_opt)
-                self.dac_states[s.id] = new
-                err = self._step_error(old, new)
-                if new.cw_quantized in (new.cw_floor, new.cw_ceiling):
-                    self.cw_cap_hits += 1
-                s.commit_cw_min(new.cw_quantized)
-                records.append(IntervalRecord(t_ms, self._names[s.id], p_obs, p_own,
-                                              err, new.cw_real, new.cw_quantized))
-            else:
-                records.append(IntervalRecord(t_ms, self._names[s.id], p_obs, p_own,
-                                              None, None, s.cw_min_current))
-
-        ap_counters.roll_interval()
-        for s in stations:
+            counters = s.counters
+            p_obs = estimate_p_obs(counters, min_samples)
+            p_own = estimate_p_own(counters, max_retry, s.dropped_this_interval)
             s.roll_interval()
+            if dac:
+                old = states[s.id]
+                states[s.id] = new = dac_step(p_obs, p_own, old, p_opt)
+                cw = new.cw_quantized
+                if cw in (new.cw_floor, new.cw_ceiling):
+                    self.cw_cap_hits += 1
+                s.commit_cw_min(cw)
+                records.append(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
+                                              self._step_error(old, new),
+                                              new.cw_real, cw))
+            else:
+                if announced is not None:
+                    s.commit_cw_min(announced)
+                records.append(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
+                                              None, None, s.cw_min_current))
         return records
 
 
@@ -253,7 +260,7 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             s.backoff_counter = 0
             transmitters.append(s)
         r0, r1 = ap_counters.r0, ap_counters.r1
-        t += run_slot(transmitters, capture, profile, ap_counters, t, log_frame)
+        t += run_slot(transmitters, capture, ap_counters, t, log_frame)
         d0, d1 = ap_counters.r0 - r0, ap_counters.r1 - r1
         for s in transmitters:
             if d0 or d1:

@@ -327,9 +327,9 @@ class EventEngine:
             heapq.heappop(c.clock)
             c.clock_mask ^= 1 << i
             self._resume_at[i] = c.anchor
-            if c.clock:
-                self._post(c)
-            else:
+            # A clock with members left hears this start, so `_begin_tx`
+            # freezes it at once and drops its tabled start there.
+            if not c.clock:
                 del self._starts[c]
         st = self.stations[i]
         st.note_attempt()

@@ -206,14 +206,6 @@ TRACE_HEADER = "t_ms,node,p_obs,p_own,error,cw_real,cw_quantized"
 SLOT_TRACE_HEADER = "t_us,station,decoded,overlaps,retry"
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.6f}"
-    return str(x)
-
-
 def slot_trace_writer(fh):
     """Write the slot-trace header to `fh` and return a `slot_log` that
     writes one row per FrameRecord."""
@@ -231,24 +223,25 @@ def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
     paths = {name: os.path.join(outdir, name)
              for name in ("summary.csv", "trace.csv", "scenario.lock")}
+    # Floats print with six decimals, integers as they are, None as nothing.
     try:
         scenario = result.scenario
         with open(paths["summary.csv"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(SUMMARY_HEADER + "\n")
             for rep, (run, jfi) in enumerate(zip(result.runs, result.jain_per_run())):
+                jfi = "" if jfi is None else f"{jfi:.6f}"
                 for sid in run.station_ids:
-                    fh.write(",".join([
-                        scenario.name, str(result.seeds[rep]), str(sid),
-                        _fmt(float(run.snr_db[sid])),
-                        _fmt(run.throughput_mbps[sid]), _fmt(jfi)]) + "\n")
+                    fh.write(f"{scenario.name},{result.seeds[rep]},{sid},"
+                             f"{run.snr_db[sid]:.6f},{run.throughput_mbps[sid]:.6f},{jfi}\n")
         with open(paths["trace.csv"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for rec in result.runs[0].records:
-                fh.write(",".join([
-                    str(rec.t_ms), rec.node, _fmt(rec.p_obs), _fmt(rec.p_own),
-                    _fmt(rec.error), _fmt(rec.cw_real),
-                    _fmt(rec.cw_quantized),
-                ]) + "\n")
+            fh.writelines(
+                f"{r.t_ms},{r.node},{'' if r.p_obs is None else f'{r.p_obs:.6f}'},"
+                f"{'' if r.p_own is None else f'{r.p_own:.6f}'},"
+                f"{'' if r.error is None else f'{r.error:.6f}'},"
+                f"{'' if r.cw_real is None else f'{r.cw_real:.6f}'},"
+                f"{'' if r.cw_quantized is None else r.cw_quantized}\n"
+                for r in result.runs[0].records)
         with open(paths["scenario.lock"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(emit_scenario(scenario))
     except OSError as exc:

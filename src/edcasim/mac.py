@@ -110,7 +110,11 @@ class Station:
         self.rng = rng
         self.traffic = traffic
         self.payload_bytes = traffic.payload_bytes
+        # Whole-microsecond airtimes of this station's frame, fixed per run.
+        self.success_us = int(round(success_duration(profile, self.payload_bytes)))
+        self.collision_us = int(round(collision_duration(profile, self.payload_bytes)))
         self.beb = beb
+        self.cw_min_current = None   # no window committed yet
         self.commit_cw_min(cw_min)
         self.retry_count = 0
         self.backlogged = traffic.kind == "saturated"
@@ -141,6 +145,9 @@ class Station:
     def commit_cw_min(self, cw_min: int) -> None:
         # Takes effect at the next backoff draw; the running counter survives.
         # Without BEB the ceiling is CW_min itself, so retries never widen it.
+        # The ceiling depends on CW_min alone, so an unchanged window is a no-op.
+        if cw_min == self.cw_min_current:
+            return
         self.cw_min_current = cw_min
         self.cw_max = effective_cw_max(cw_min, self.profile.m_backoff_stages,
                                        self.profile.cw_ceiling) if self.beb else cw_min
@@ -189,10 +196,11 @@ class Station:
         self.dropped_this_interval = 0
 
 
-def run_slot(transmitters: list[Station], capture: CaptureModel, profile: PhyProfile,
+def run_slot(transmitters: list[Station], capture: CaptureModel,
              ap_counters: BeaconCounters, now_us: int = 0, log_frame=None) -> int:
     """Resolve one busy channel event among `transmitters` and return its
-    duration in whole microseconds.
+    duration in whole microseconds: the winner's `success_us`, or the
+    largest `collision_us` among them when no frame is decoded.
 
     The caller passes the stations whose backoff counter reached zero, at
     least one. One transmitter: success. Several: a collision, unless the
@@ -213,17 +221,15 @@ def run_slot(transmitters: list[Station], capture: CaptureModel, profile: PhyPro
         winner = next((s for s in transmitters if s.id == winner_id), None)
 
     if winner is None:
-        longest = max(s.payload_bytes for s in transmitters)
-        duration = collision_duration(profile, longest)
+        busy_us = max(s.collision_us for s in transmitters)
     else:
-        duration = success_duration(profile, winner.payload_bytes)
+        busy_us = winner.success_us
         ap_counters.observe_frame(winner.retry_flag)
 
     if log_frame is not None:
         for s in transmitters:
             log_frame(now_us, s.id, s is winner, len(transmitters) - 1, s.retry_flag)
 
-    busy_us = int(round(duration))
     end = now_us + busy_us
     for s in transmitters:
         if s is winner:

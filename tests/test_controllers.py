@@ -1,15 +1,17 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edcasim.controllers import (ControllerState, OptimalPoint, PiGains, cac_error,
                                  cac_step, compute_gains, compute_p_opt, dac_error,
                                  dac_step, initial_state, pi_update, quantize_cw)
-from edcasim.engine import ControlPlane, run_slotted
+from edcasim.engine import CONTROLLERS, ControlPlane, IntervalRecord, run_slotted
 from edcasim.estimators import BeaconCounters, estimate_p_obs, estimate_p_own
 from edcasim.harness import _build_stations
-from edcasim.mac import CaptureModel
+from edcasim.mac import CaptureModel, Station, TrafficSource, effective_cw_max
 from edcasim.phy import PROFILE_80211A_24, PhyProfile
 from edcasim.scenario import Scenario
 
@@ -158,6 +160,37 @@ def make_state(cw_real=64.0, k_p=25.3, k_i=14.9, prev_error=0.0,
                            prev_error=prev_error)
 
 
+class TestControllerState:
+    """The contract of the controller state: an immutable value, built by
+    keyword, and returned as the same object when a step defers."""
+
+    def test_attributes_cannot_be_assigned(self):
+        s = make_state()
+        for name, value in (("cw_real", 99.0), ("prev_error", 0.5), ("new", 1)):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        assert s == make_state()
+
+    def test_keyword_construction_defaults_the_previous_error(self):
+        g = PiGains(k_p=25.3, k_i=14.9)
+        s = ControllerState(gains=g, cw_floor=16, cw_ceiling=1024,
+                            cw_real=1015.0, cw_quantized=1024)
+        assert (s.gains, s.cw_floor, s.cw_ceiling) == (g, 16, 1024)
+        assert (s.cw_real, s.cw_quantized, s.prev_error) == (1015.0, 1024, 0.0)
+        assert s == ControllerState(g, 16, 1024, 1015.0, 1024, 0.0)
+        assert s != ControllerState(g, 16, 1024, 1015.0, 1024, 0.1)
+
+    def test_deferral_returns_the_same_object(self):
+        s = make_state(cw_real=77.0, prev_error=0.25)
+        assert pi_update(s, None) is s
+        assert dac_step(None, 0.2, s, 0.16) is s
+        assert dac_step(0.2, None, s, 0.16) is s
+        assert cac_step(None, s, 0.16)[0] is s
+        # a step, even one that lands on the same value, is a new object
+        stepped = pi_update(s, 0.0)
+        assert stepped is not s and stepped.prev_error == 0.0
+
+
 class TestPiUpdate:
     def test_arithmetic_example(self):
         s = pi_update(make_state(cw_real=64.0), 0.1)
@@ -274,3 +307,118 @@ class TestWindowBoundHits:
         run_slotted(stations, sc.phy(), CaptureModel(), control, sc.duration_us)
         assert all(s.cw_min_current == 16 for s in stations)
         assert control.cw_cap_hits == hits
+
+
+def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Station],
+                            ap_counters: BeaconCounters) -> list[IntervalRecord]:
+    """Reference for `ControlPlane.beacon_update`: every station stepped
+    through the public estimators and controller steps, every window
+    committed, and the counters rolled in a second loop."""
+    records = []
+    ap_p_obs = estimate_p_obs(ap_counters, plane.min_samples)
+    if plane.mode == "cac":
+        old = plane.cac_state
+        plane.cac_state, announced = cac_step(ap_p_obs, old, plane.p_opt)
+        err = plane.cac_state.prev_error if plane.cac_state is not old else None
+        if announced in (plane.cac_state.cw_floor, plane.cac_state.cw_ceiling):
+            plane.cw_cap_hits += 1
+        for s in stations:
+            s.commit_cw_min(announced)
+        records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, err,
+                                      plane.cac_state.cw_real, announced))
+    else:
+        records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
+    for s in stations:
+        p_obs = estimate_p_obs(s.counters, plane.min_samples)
+        p_own = estimate_p_own(s.counters, plane.profile.max_retry,
+                               s.dropped_this_interval)
+        if plane.mode == "dac":
+            old = plane.dac_states[s.id]
+            new = dac_step(p_obs, p_own, old, plane.p_opt)
+            plane.dac_states[s.id] = new
+            err = new.prev_error if new is not old else None
+            if new.cw_quantized in (new.cw_floor, new.cw_ceiling):
+                plane.cw_cap_hits += 1
+            s.commit_cw_min(new.cw_quantized)
+            records.append(IntervalRecord(t_ms, f"sta{s.id}", p_obs, p_own, err,
+                                          new.cw_real, new.cw_quantized))
+        else:
+            records.append(IntervalRecord(t_ms, f"sta{s.id}", p_obs, p_own, None,
+                                          None, s.cw_min_current))
+    ap_counters.roll_interval()
+    for s in stations:
+        s.roll_interval()
+    return records
+
+
+# One interval's counter gains at one vantage: (r0, r1, successes, retries,
+# drops). Small values make the estimators defer often.
+_GAINS = st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 12),
+                   st.integers(0, 12), st.integers(0, 3))
+
+
+@st.composite
+def beacon_runs(draw):
+    floor_exp = draw(st.integers(0, 8))
+    ceiling_exp = draw(st.integers(floor_exp, 10))
+    n = draw(st.integers(1, 6))
+    return dict(
+        mode=draw(st.sampled_from(CONTROLLERS)),
+        cw_bounds=(1 << floor_exp, 1 << ceiling_exp),
+        p_opt=draw(st.floats(0.02, 0.45)),
+        min_samples=draw(st.integers(1, 30)),
+        windows=draw(st.lists(st.integers(floor_exp, ceiling_exp).map(lambda k: 1 << k),
+                              min_size=n, max_size=n)),
+        bebs=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        intervals=draw(st.lists(st.lists(_GAINS, min_size=n + 1, max_size=n + 1),
+                                min_size=1, max_size=5)),
+    )
+
+
+def _counter_state(s: Station):
+    return (dataclasses.astuple(s.counters), s.dropped_this_interval,
+            s.cw_min_current, s.cw_max)
+
+
+class TestFusedBeaconPass:
+    """`beacon_update` steps, commits, records and rolls each station in one
+    pass; it must equal the plain two-pass update."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(beacon_runs())
+    def test_matches_the_two_pass_reference(self, run):
+        profile = PROFILE_80211A_24
+        sides = []
+        for _ in range(2):
+            stations = [Station(i, 30.0, profile, random.Random(i),
+                                TrafficSource("saturated", 1500), cw, beb)
+                        for i, (cw, beb) in enumerate(zip(run["windows"], run["bebs"]), 1)]
+            plane = ControlPlane(run["mode"], [s.id for s in stations], profile,
+                                 run["p_opt"], run["min_samples"],
+                                 cw_bounds=run["cw_bounds"])
+            sides.append((plane, stations, BeaconCounters()))
+        for k, gains in enumerate(run["intervals"], 1):
+            out = []
+            for (plane, stations, ap), update in zip(
+                    sides, (ControlPlane.beacon_update, _two_pass_beacon_update)):
+                for c, (r0, r1, ok, retries, drops) in zip(
+                        [ap] + [s.counters for s in stations], gains):
+                    c.r0, c.r1 = r0, r1
+                    c.successes_cumulative += ok
+                    c.failures_cumulative += retries
+                for s, g in zip(stations, gains[1:]):
+                    s.dropped_this_interval = g[4]
+                out.append(update(plane, 100 * k, stations, ap))
+            fused, reference = sides
+            assert out[0] == out[1]
+            assert fused[0].cw_cap_hits == reference[0].cw_cap_hits
+            assert fused[0].cac_state == reference[0].cac_state
+            assert fused[0].dac_states == reference[0].dac_states
+            assert dataclasses.astuple(fused[2]) == dataclasses.astuple(reference[2])
+            for s, ref in zip(fused[1], reference[1]):
+                assert _counter_state(s) == _counter_state(ref)
+                assert s.counters.r0 == s.counters.r1 == s.dropped_this_interval == 0
+                assert s.cw_max == (effective_cw_max(s.cw_min_current,
+                                                     profile.m_backoff_stages,
+                                                     profile.cw_ceiling)
+                                    if s.beb else s.cw_min_current)

@@ -13,7 +13,7 @@ from edcasim.harness import run_once
 from edcasim.mac import (CAPTURE_MODES, TRAFFIC_KINDS, CaptureModel, Station,
                          TrafficSource, effective_cw_max, resolve_capture, run_slot)
 from edcasim.oracle import solve_fixed_point
-from edcasim.phy import PROFILE_80211A_24
+from edcasim.phy import PROFILE_80211A_24, collision_duration, success_duration
 from edcasim.scenario import Scenario
 
 PROFILE = PROFILE_80211A_24
@@ -76,7 +76,7 @@ class TestRunSlot:
         a, b = make_station(1), make_station(2)
         a.backoff_counter = b.backoff_counter = 0
         ap = BeaconCounters()
-        duration = run_slot([a, b], NO_CAPTURE, PROFILE, ap)
+        duration = run_slot([a, b], NO_CAPTURE, ap)
         assert a.retry_flag and b.retry_flag
         assert a.retry_count == 1 and b.retry_count == 1
         assert a.current_cw() == 32 and b.current_cw() == 32
@@ -89,7 +89,7 @@ class TestRunSlot:
         a, b = make_station(1), make_station(2)
         a.backoff_counter, b.backoff_counter = 0, 3
         ap = BeaconCounters()
-        run_slot([a], NO_CAPTURE, PROFILE, ap)
+        run_slot([a], NO_CAPTURE, ap)
         assert b.backoff_counter == 3          # frozen during the busy event
         assert a.retry_count == 0
         assert a.counters.successes_cumulative == 1
@@ -101,8 +101,8 @@ class TestRunSlot:
         a, b = make_station(1, snr=40.0), make_station(2, snr=20.0)
         a.backoff_counter = b.backoff_counter = 0
         frames = []
-        run_slot([a, b], CaptureModel("threshold", 10.0), PROFILE,
-                 BeaconCounters(), 500, lambda *f: frames.append(f))
+        run_slot([a, b], CaptureModel("threshold", 10.0), BeaconCounters(), 500,
+                 lambda *f: frames.append(f))
         assert frames == [(500, 1, True, 1, False), (500, 2, False, 1, False)]
         assert a.counters.successes_cumulative == 1 and a.retry_count == 0
         # the loser's bookkeeping matches the pure-collision path
@@ -113,7 +113,7 @@ class TestRunSlot:
         a.retry_count = PROFILE.max_retry
         a._frame_attempts = PROFILE.max_retry
         a.backoff_counter = b.backoff_counter = 0
-        run_slot([a, b], NO_CAPTURE, PROFILE, BeaconCounters())
+        run_slot([a, b], NO_CAPTURE, BeaconCounters())
         assert a.frames_dropped_retry == 1
         assert a.retry_count == 0 and a.current_cw() == 16
         assert a.dropped_this_interval == 1
@@ -123,6 +123,36 @@ class TestRunSlot:
         assert not a.retry_flag
         a.retry_count = 3
         assert a.retry_flag
+
+
+class TestCachedAirtimes:
+    """A station fixes its frame's airtimes when it is built, and `run_slot`
+    reads them instead of the duration helpers."""
+
+    @staticmethod
+    def station(sid, payload, snr=30.0):
+        return Station(station_id=sid, snr_db=snr, profile=PROFILE,
+                       rng=random.Random(sid),
+                       traffic=TrafficSource("saturated", payload), cw_min=16)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2304))
+    def test_station_airtimes_are_the_rounded_durations(self, payload):
+        s = self.station(1, payload)
+        assert s.success_us == int(round(success_duration(PROFILE, payload)))
+        assert s.collision_us == int(round(collision_duration(PROFILE, payload)))
+
+    def test_collision_of_mixed_payloads_lasts_the_longest_frame(self):
+        stations = [self.station(i, p) for i, p in enumerate((200, 1500, 700), 1)]
+        busy = run_slot(stations, NO_CAPTURE, BeaconCounters())
+        assert busy == int(round(collision_duration(PROFILE, 1500)))
+        assert busy > int(round(collision_duration(PROFILE, 700)))
+
+    def test_captured_frame_lasts_its_own_success_airtime(self):
+        short, long_ = self.station(1, 200, snr=40.0), self.station(2, 1500, snr=20.0)
+        busy = run_slot([short, long_], CaptureModel("threshold", 10.0),
+                        BeaconCounters())
+        assert busy == int(round(success_duration(PROFILE, 200)))
 
 
 class TestEffectiveCwMax:
