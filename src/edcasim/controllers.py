@@ -25,12 +25,6 @@ class PiGains:
     k_p: float
     k_i: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k_p) and math.isfinite(self.k_i)):
-            raise ValueError("gains must be finite")
-        if self.k_p <= 0 or self.k_i <= 0:
-            raise ValueError("gains must be positive")
-
 
 class ControllerState(NamedTuple):
     """PI controller state tracked across beacon intervals: an immutable
@@ -93,8 +87,6 @@ def quantize_cw(cw_real: float, cw_floor: int, cw_ceiling: int) -> int:
 
     Half-way exponents resolve by round-half-to-even, matching rint().
     """
-    if cw_real <= 0:
-        raise ValueError("cw_real must be positive")
     exponent = round(math.log2(cw_real))  # banker's rounding on the exponent
     cw = 2 ** exponent
     return min(max(cw, cw_floor), cw_ceiling)

@@ -97,8 +97,6 @@ class ControlPlane:
                  p_opt: float, min_samples: int = MIN_POBS_SAMPLES,
                  gains_override: tuple[float, float] | None = None,
                  cw_bounds: tuple[int, int] | None = None):
-        if mode not in CONTROLLERS:
-            raise ValueError(f"unknown controller mode {mode!r}")
         self.mode = mode
         self.profile = profile
         self.p_opt = p_opt
@@ -196,8 +194,6 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     log_frame = None if slot_log is None else (
         lambda *frame: slot_log(FrameRecord(*frame)))
     n_intervals = duration_us // profile.beacon_interval
-    if n_intervals < 1:
-        raise ValueError("duration shorter than one beacon interval")
 
     slot = profile.slot_time
     records: list[IntervalRecord] = []

@@ -114,8 +114,6 @@ class EventEngine:
         """`heard` maps each station id to the node ids it hears (AP = 0);
         `ap_hears` holds the stations whose frames reach the AP. `slot_log`,
         when given, receives a FrameRecord for every data frame."""
-        if any(s.traffic.kind != "saturated" for s in stations):
-            raise ValueError("the hidden-topology engine supports saturated traffic only")
         self.slot_log = slot_log
         self.stations = {s.id: s for s in stations}
         self._station_list = list(self.stations.values())
@@ -430,8 +428,6 @@ class EventEngine:
 
     def run(self) -> RunResult:
         n_intervals = self.duration_us // self.profile.beacon_interval
-        if n_intervals < 1:
-            raise ValueError("duration shorter than one beacon interval")
         # every station starts off the clock; the first resume puts each
         # class's members on it together
         for c in self._classes:

@@ -66,15 +66,11 @@ def collision_duration(profile: PhyProfile, longest_payload: int) -> float:
 
     Includes the post-collision EIFS deference of every listener.
     """
-    if longest_payload <= 0:
-        raise ValueError("longest_payload must be positive")
     return profile.t_plcp + 8.0 * longest_payload / profile.bit_rate + profile.eifs
 
 
 def success_duration(profile: PhyProfile, payload: int) -> float:
     """Airtime cost of one successful exchange: data + SIFS + ACK + AIFS."""
-    if payload <= 0:
-        raise ValueError("payload must be positive")
     return (profile.t_plcp + 8.0 * payload / profile.bit_rate
             + profile.sifs + profile.ack_duration + profile.aifs)
 

@@ -74,9 +74,9 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        if "#" in self.name or self.name != self.name.strip() \
+        if "#" in self.name or "," in self.name or self.name != self.name.strip() \
                 or len(self.name.splitlines()) > 1:
-            raise ConfigError("name", "must be one line, without '#' or "
+            raise ConfigError("name", "must be one line, without '#', ',' or "
                               "surrounding whitespace")
         if self.profile not in BUILTIN_PROFILES:
             raise ConfigError("profile", f"unknown profile {self.profile!r}")
@@ -114,6 +114,11 @@ class Scenario:
                 raise ConfigError("silent_mean_s", "must be positive")
         if self.static_cw < 1:
             raise ConfigError("static_cw", "must be >= 1")
+        if self.static_beb and self.static_cw > phy.cw_ceiling:
+            raise ConfigError("static_cw", "with static_beb, must not exceed the "
+                              f"PHY's window ceiling {phy.cw_ceiling}")
+        if self.defer_min_samples < 1:
+            raise ConfigError("defer_min_samples", "must be >= 1")
         ids = range(1, self.n_stations + 1)
         for a, b in self.hidden_pairs:
             if a == b or a not in ids or b not in ids:
@@ -140,6 +145,9 @@ class Scenario:
             if value is not None and not is_pow2(value):
                 raise ConfigError(name, f"must be a power of 2, got {value}")
         floor, ceiling = self.cw_bounds()
+        if ceiling > phy.cw_ceiling:
+            raise ConfigError("cw_ceiling_override", "must not exceed the PHY's "
+                              f"window ceiling {phy.cw_ceiling}")
         if floor >= ceiling:
             name = ("cw_floor_override" if self.cw_floor_override is not None
                     else "cw_ceiling_override")

@@ -90,12 +90,6 @@ class TestGains:
         with pytest.raises(ValueError):
             compute_gains(0.16, 0)
 
-    def test_positive_finite_required(self):
-        with pytest.raises(ValueError):
-            PiGains(k_p=-1.0, k_i=1.0)
-        with pytest.raises(ValueError):
-            PiGains(k_p=math.inf, k_i=1.0)
-
 
 class TestErrors:
     @pytest.mark.parametrize("p_obs,p_opt,expected", [

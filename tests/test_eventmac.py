@@ -141,17 +141,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             hidden_pair_scenario(traffic="onoff").validate()
 
-    def test_onoff_traffic_rejected_by_engine_directly(self):
-        sc = hidden_pair_scenario()
-        stations = _build_stations(sc, 1)
-        stations[0].traffic.kind = "onoff"
-        profile = sc.phy()
-        point = compute_p_opt(profile, 1500)
-        control = ControlPlane("edca-static", [1, 2], profile, point.p_opt)
-        with pytest.raises(ValueError):
-            EventEngine(stations, profile, CaptureModel(), control,
-                        {1: {0, 1}, 2: {0, 2}}, {1, 2}, 1_000_000)
-
 
 # Exact whole-run accounting of short event-engine runs, one per topology,
 # controller and capture mode: (attempts, successes, retries, drops,

@@ -316,11 +316,27 @@ class TestCli:
             ["summary.csv", "trace.csv", "scenario.lock"]
             + ["frames.csv"] * slot_trace)
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
-        f = tmp_path / "bad.cfg"
-        f.write_text("snr_db = 30, 30\ncontroller = magic\n")
-        assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize("config,argv,field", [
+        ("controller = magic", ["run", "{cfg}"], "controller"),
+        ("defer_min_samples = 0", ["run", "{cfg}"], "defer_min_samples"),
+        ("defer_min_samples = -1", ["run", "{cfg}"], "defer_min_samples"),
+        ("name = a,b", ["run", "{cfg}"], "name"),
+        ("cw_ceiling_override = 4096", ["run", "{cfg}"], "cw_ceiling_override"),
+        ("cw_floor_override = 2048\ncw_ceiling_override = 4096", ["run", "{cfg}"],
+         "cw_ceiling_override"),
+        ("static_cw = 2048\nstatic_beb = true", ["run", "{cfg}"], "static_cw"),
+        ("kp_override = inf\nki_override = 5.0", ["run", "{cfg}"], "kp_override"),
+        ("", ["sweep", "--base", "{cfg}", "--axis", "controller", "--values", "bogus"],
+         "controller"),
+    ], ids=["controller", "defer_min_samples_0", "defer_min_samples_negative",
+            "name_comma", "cw_ceiling_override", "cw_floor_and_ceiling_above_phy",
+            "static_cw_with_beb", "kp_override_inf", "sweep_controller"])
+    def test_config_error_exit_code(self, tmp_path, capsys, config, argv, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"snr_db = 30, 30\n{config}\n")
+        argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 2
+        assert f"configuration error: {field}:" in capsys.readouterr().err
 
     def test_missing_scenario_is_config_error(self, tmp_path):
         assert cli_main(["run", "nonexistent", "--out", str(tmp_path)]) == 2

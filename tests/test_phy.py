@@ -73,9 +73,3 @@ class TestDurations:
             for fn in (collision_duration, success_duration):
                 d = fn(PROFILE_80211A_24, payload)
                 assert d > 0 and math.isfinite(d)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            collision_duration(PROFILE_80211A_24, 0)
-        with pytest.raises(ValueError):
-            success_duration(PROFILE_80211A_24, -5)

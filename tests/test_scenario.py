@@ -99,6 +99,13 @@ class TestValidation:
         (dict(payload_bytes=2305), "payload_bytes"),
         (dict(payload_bytes=9000), "payload_bytes"),
         (dict(payload_bytes=0), "payload_bytes"),
+        (dict(defer_min_samples=0), "defer_min_samples"),
+        (dict(defer_min_samples=-1), "defer_min_samples"),
+        (dict(name="a,b"), "name"),
+        (dict(cw_ceiling_override=4096), "cw_ceiling_override"),
+        (dict(cw_floor_override=2048, cw_ceiling_override=4096), "cw_ceiling_override"),
+        (dict(static_cw=2048, static_beb=True), "static_cw"),
+        (dict(kp_override=float("inf"), ki_override=5.0), "kp_override"),
     ])
     def test_field_errors(self, kw, field):
         # a Scenario is checked when it is built
@@ -126,7 +133,7 @@ class TestValidation:
             parse_scenario("snr_db = 30, 30\ncw_floor_override = 24\n")
 
 
-_POW2 = [2 ** k for k in range(13)]
+_POW2 = [2 ** k for k in range(11)]   # 1..1024, up to the PHY's window ceiling
 _FLOAT = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e6)
 
@@ -144,6 +151,7 @@ def scenarios(draw):
     hidden = hidden_pairs or hidden_links or hidden_from_ap
     payload = draw(st.integers(1, 2304))
     gains = draw(st.none() | st.tuples(_POSITIVE, _POSITIVE))
+    static_beb = draw(st.booleans())
     kw = dict(
         snr_db=snr,
         name=draw(st.text(max_size=20)),
@@ -158,13 +166,13 @@ def scenarios(draw):
         traffic="saturated" if hidden else draw(st.sampled_from(("saturated", "onoff"))),
         burst_bytes=draw(st.integers(payload, 10 ** 9)),
         silent_mean_s=draw(_POSITIVE),
-        static_cw=draw(st.integers(1, 4096)),
-        static_beb=draw(st.booleans()),
+        static_cw=draw(st.integers(1, 1024 if static_beb else 4096)),
+        static_beb=static_beb,
         hidden_pairs=hidden_pairs,
         hidden_from_ap=hidden_from_ap,
         hidden_links=hidden_links,
         allow_asymmetric=bool(hidden_links) or draw(st.booleans()),
-        defer_min_samples=draw(st.integers()),
+        defer_min_samples=draw(st.integers(min_value=1)),
         kp_override=None if gains is None else gains[0],
         ki_override=None if gains is None else gains[1],
         cw_floor_override=draw(st.none() | st.sampled_from(_POW2[:10])),
