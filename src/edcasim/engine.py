@@ -1,5 +1,6 @@
-"""Beacon-interval orchestration shared by both channel engines, the records
-they produce, and the slotted simulation loop for fully connected topologies.
+"""Beacon-interval orchestration shared by both channel engines, the run
+records they produce, and the slotted simulation loop for fully connected
+topologies.
 """
 
 from __future__ import annotations
@@ -13,17 +14,6 @@ from .controllers import (ControllerState, PiGains, cac_step, compute_gains, dac
 from .estimators import MIN_POBS_SAMPLES, BeaconCounters, estimate_p_obs, estimate_p_own
 from .mac import CaptureModel, Station, run_slot
 from .phy import PhyProfile
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    """One transmitted data frame, as either engine hands it to `slot_log`."""
-
-    start_us: int
-    station: int
-    decoded: bool          # the AP decoded it
-    overlaps: int          # other data frames overlapping it at the AP
-    retry: bool            # its retry flag
 
 
 @dataclass(slots=True)
@@ -183,16 +173,15 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     past the earliest arrival or the next beacon, and a countdown that runs
     out before then leads into its transmission in the same loop pass.
     Every station that does not transmit sniffs exactly the frames the AP
-    decodes, so it keeps only the AP's gains during its own transmit events
-    (`missed`), and its tallies are read off the AP's at each beacon. So a
-    channel event costs O(transmitters) for both traffic kinds; only the
-    set-up, the beacons and the end visit every station.
+    decodes, so `run_slot` notes only the AP's gains during a station's own
+    transmit events (`Station.missed`), and each station's tallies are read
+    off the AP's at each beacon. So a channel event costs O(transmitters)
+    for both traffic kinds; only the set-up, the beacons and the end visit
+    every station.
 
     `slot_log`, when given, receives a FrameRecord for every data frame.
     """
     ap_counters = BeaconCounters()
-    log_frame = None if slot_log is None else (
-        lambda *frame: slot_log(FrameRecord(*frame)))
     n_intervals = duration_us // profile.beacon_interval
 
     slot = profile.slot_time
@@ -209,16 +198,12 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     # (arrival time, station id, station) of each station with nothing to send.
     arrivals = [(s.traffic.arrival_us, s.id, s) for s in stations if not s.backlogged]
     heapq.heapify(arrivals)
-    # Per station id: the AP's (r0, r1) gains this interval during the
-    # station's own transmissions, which its sniffer missed.
-    missed = {s.id: [0, 0] for s in stations}
 
     while interval_idx < n_intervals:
         if t >= next_beacon:
+            r0, r1 = ap_counters.r0, ap_counters.r1
             for s in stations:
-                m = missed[s.id]
-                s.counters.credit(ap_counters.r0 - m[0], ap_counters.r1 - m[1])
-                m[0] = m[1] = 0
+                s.credit_sniffed(r0, r1)
             records.extend(control.beacon_update(next_beacon // 1000,
                                                  stations, ap_counters))
             t += profile.beacon_airtime + profile.aifs
@@ -255,14 +240,8 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             s = heapq.heappop(fires)[2]
             s.backoff_counter = 0
             transmitters.append(s)
-        r0, r1 = ap_counters.r0, ap_counters.r1
-        t += run_slot(transmitters, capture, ap_counters, t, log_frame)
-        d0, d1 = ap_counters.r0 - r0, ap_counters.r1 - r1
+        t += run_slot(transmitters, capture, ap_counters, t, slot_log)
         for s in transmitters:
-            if d0 or d1:
-                m = missed[s.id]
-                m[0] += d0
-                m[1] += d1
             if s.backlogged:
                 heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
             else:

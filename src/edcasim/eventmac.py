@@ -22,9 +22,9 @@ at all of them. Each event therefore touches only the classes that hear it:
   counts down alone, as does a member that defers EIFS while the clock
   defers AIFS. It rejoins at the next resume of its class whose deference
   ends with the clock's.
-- A class keeps one tally of the data frames it heard cleanly. At the
-  beacon each station's sniffed counters are read off it, less the
-  station's own frames.
+- A class keeps one tally of the data frames it heard cleanly. A source
+  notes its own frames in that tally as `Station.missed`, and at the beacon
+  each station's sniffed counters are read off it, less those.
 
 A pending start is not a heap entry: each class tables its clock's earliest
 start, and each lone station its own, and the main loop orders them against
@@ -42,9 +42,9 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .engine import ControlPlane, FrameRecord, RunResult
+from .engine import ControlPlane, RunResult
 from .estimators import BeaconCounters
-from .mac import CaptureModel, Station
+from .mac import CaptureModel, FrameRecord, Station
 from .phy import PhyProfile, data_airtime
 
 AP = 0
@@ -153,9 +153,6 @@ class EventEngine:
         # when each station off its class's clock ends its deference
         self._resume_at = dict.fromkeys(self.stations, 0)
         self._garbled_since = 0     # bitmask: lost a frame since it last deferred
-        # (r0, r1) of each station's own frames in its class's tally
-        self._own = {i: [0, 0] for i in self.stations}
-        self._ap_decoded = [0, 0]   # (r0, r1) of frames the AP decoded this interval
         self._ap_tx_until = 0
         self.records = []
 
@@ -339,21 +336,21 @@ class EventEngine:
         self._end_tx(t, tx)
         # Sniffers: every class that heard the whole frame cleanly. The
         # source's own class counts it for the other members, so the source
-        # notes it as its own.
+        # notes it as missed.
         src, garbled, flag = tx.src, tx.garbled_at, tx.retry_flag
         mine = self._class_of[src]
         for c in self._hearing[src]:
             if not garbled >> c.members[0] & 1:
                 c.sniffed[flag] += 1
                 if c is mine:
-                    self._own[src][flag] += 1
+                    self.stations[src].missed[flag] += 1
         overlaps = tx.overlap_snrs
         decoded = not tx.ap_busy and src in self.ap_hears and (
             not overlaps or self.capture.captures(tx.snr, max(overlaps)))
         if self.slot_log is not None:
             self.slot_log(FrameRecord(tx.start, src, decoded, len(overlaps), flag))
         if decoded:
-            self._ap_decoded[flag] += 1
+            self.ap_counters.observe_frame(flag)
             self._then(t + self.profile.sifs, _P_ACK, EventEngine._on_ack_start, tx)
         else:
             self._then(t + self._ack_timeout, _P_FAIL, EventEngine._on_tx_fail, tx)
@@ -381,9 +378,7 @@ class EventEngine:
         self._finish_exchange(src, t)
 
     def _on_tx_fail(self, t, frame: _Tx):
-        st = self.stations[frame.src]
-        if st.resolve_failure():
-            st.resolve_drop(t)
+        self.stations[frame.src].resolve_failure(t)
         self._finish_exchange(frame.src, t)
 
     def _finish_exchange(self, src: int, t: int) -> None:
@@ -404,18 +399,13 @@ class EventEngine:
 
     def _on_beacon(self, t, _payload):
         self._beacons_left -= 1
-        # The interval's flag tallies: the frames the AP decoded, and each
-        # station's read off its class's, less its own frames.
-        decoded = self._ap_decoded
-        self.ap_counters.credit(decoded[0], decoded[1])
+        # Each station's flag tallies are read off its class's, less the
+        # frames it missed.
         for s in self._station_list:
-            own = self._own[s.id]
             heard = self._class_of[s.id].sniffed
-            s.counters.credit(heard[0] - own[0], heard[1] - own[1])
-            own[0] = own[1] = 0
+            s.credit_sniffed(heard[0], heard[1])
         self.records.extend(self.control.beacon_update(
             t // 1000, self._station_list, self.ap_counters))
-        decoded[0] = decoded[1] = 0
         for c in self._classes:
             c.sniffed[0] = c.sniffed[1] = 0
         start = max(t, self._ap_tx_until)

@@ -10,9 +10,9 @@ import random
 from dataclasses import dataclass, replace
 
 from .controllers import compute_p_opt
-from .engine import ControlPlane, FrameRecord, RunResult, run_slotted
+from .engine import ControlPlane, RunResult, run_slotted
 from .eventmac import EventEngine
-from .mac import CaptureModel, Station, TrafficSource
+from .mac import CaptureModel, FrameRecord, Station, TrafficSource
 from .scenario import ConfigError, Scenario, emit_scenario, hidden_node_visibility
 
 
@@ -176,6 +176,12 @@ def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
 
 def _apply_axis(base: Scenario, axis: str, value) -> Scenario:
     if axis == "n_stations":
+        # Hidden fields name stations by number, and re-sorting the links
+        # would give those numbers to other stations.
+        for field in ("hidden_pairs", "hidden_from_ap", "hidden_links"):
+            if getattr(base, field):
+                raise ConfigError(field, "an n_stations sweep needs a fully "
+                                  "connected base scenario")
         if not 1 <= value <= base.n_stations:
             raise ConfigError("values",
                               f"n_stations {value} outside 1..{base.n_stations}")

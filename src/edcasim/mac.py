@@ -1,5 +1,6 @@
-"""Station MAC state, capture, traffic, and the slotted channel step for a
-single collision domain.
+"""Station MAC state and the per-frame and per-interval protocol both
+engines drive it through, capture, traffic, the frame record both engines
+log, and the slotted channel step for a single collision domain.
 
 In the slotted engine all stations share one slot clock, which is exact
 when every station hears every other (the hearing matrix is complete).
@@ -17,6 +18,17 @@ from .phy import PhyProfile, collision_duration, success_duration
 
 
 CAPTURE_MODES = ("none", "threshold")
+
+
+@dataclass(frozen=True)
+class FrameRecord:
+    """One transmitted data frame, as either engine hands it to `slot_log`."""
+
+    start_us: int
+    station: int
+    decoded: bool          # the AP decoded it
+    overlaps: int          # other data frames overlapping it at the AP
+    retry: bool            # its retry flag
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,9 @@ class Station:
         self.backoff_counter = 0
         # Sniffer + driver-style counters (one vantage point per station).
         self.counters = BeaconCounters()
+        # (r0, r1) of the frames in this vantage's tally that its sniffer
+        # did not hear this interval; `credit_sniffed` subtracts them.
+        self.missed = [0, 0]
         self.dropped_this_interval = 0
         # Whole-run accounting over *resolved* frames.
         self.frames_dropped_retry = 0
@@ -124,11 +139,7 @@ class Station:
     def retry_flag(self) -> bool:
         return self.retry_count > 0
 
-    def current_cw(self) -> int:
-        return min(self.cw_min_current << self.retry_count, self.cw_max)
-
     def draw_backoff(self) -> None:
-        # current_cw(), inlined: every attempt draws once.
         self.backoff_counter = self.rng.randrange(
             min(self.cw_min_current << self.retry_count, self.cw_max))
 
@@ -153,15 +164,12 @@ class Station:
         self.delivered_bytes += self.payload_bytes
         self._finish_frame(now_us)
 
-    def resolve_failure(self) -> bool:
-        """Register a failed attempt. Returns True when the frame was dropped."""
+    def resolve_failure(self, now_us: int) -> None:
+        """Register a failed attempt; past the retry limit, drop the frame."""
         self.retry_count += 1
-        if self.retry_count > self.profile.max_retry:
-            return True
-        self.draw_backoff()
-        return False
-
-    def resolve_drop(self, now_us: int) -> None:
+        if self.retry_count <= self.profile.max_retry:
+            self.draw_backoff()
+            return
         self.dropped_this_interval += 1
         self.frames_dropped_retry += 1
         self.attempts_resolved += self._frame_attempts
@@ -181,13 +189,20 @@ class Station:
         self.backlogged = True
         self.draw_backoff()
 
+    def credit_sniffed(self, r0: int, r1: int) -> None:
+        """Credit this interval's sniffed tallies: the vantage's `(r0, r1)`
+        less the frames it missed."""
+        missed = self.missed
+        self.counters.credit(r0 - missed[0], r1 - missed[1])
+        missed[0] = missed[1] = 0
+
     def roll_interval(self) -> None:
         self.counters.roll_interval()
         self.dropped_this_interval = 0
 
 
 def run_slot(transmitters: list[Station], capture: CaptureModel,
-             ap_counters: BeaconCounters, now_us: int = 0, log_frame=None) -> int:
+             ap_counters: BeaconCounters, now_us: int = 0, slot_log=None) -> int:
     """Resolve one busy channel event among `transmitters` and return its
     duration in whole microseconds: the winner's `success_us`, or the
     largest `collision_us` among them when no frame is decoded.
@@ -196,10 +211,9 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
     least one. One transmitter: success. Several: a collision, unless the
     capture model decodes a winner; losers follow the plain collision path
     either way (window doubling, retry flag, retry-limit drop with window
-    reset). The decoded frame feeds the AP's counters; the slotted loop
-    credits every other station's sniffer from the AP's tallies. When given,
-    `log_frame(start_us, station, decoded, overlaps, retry)` is called once
-    per transmitted frame.
+    reset). The decoded frame feeds the AP's counters, and every
+    transmitter's `missed`: its sniffer was busy sending. When given,
+    `slot_log` receives a FrameRecord for each transmitted frame.
     """
     for s in transmitters:
         s.note_attempt()
@@ -214,16 +228,20 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
         busy_us = max(s.collision_us for s in transmitters)
     else:
         busy_us = winner.success_us
-        ap_counters.observe_frame(winner.retry_flag)
-
-    if log_frame is not None:
+        flag = winner.retry_flag
+        ap_counters.observe_frame(flag)
         for s in transmitters:
-            log_frame(now_us, s.id, s is winner, len(transmitters) - 1, s.retry_flag)
+            s.missed[flag] += 1
+
+    if slot_log is not None:
+        overlaps = len(transmitters) - 1
+        for s in transmitters:
+            slot_log(FrameRecord(now_us, s.id, s is winner, overlaps, s.retry_flag))
 
     end = now_us + busy_us
     for s in transmitters:
         if s is winner:
             s.resolve_success(end)
-        elif s.resolve_failure():
-            s.resolve_drop(end)
+        else:
+            s.resolve_failure(end)
     return busy_us

@@ -74,10 +74,10 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        if "#" in self.name or "," in self.name or self.name != self.name.strip() \
+        if any(c in self.name for c in '#,"') or self.name != self.name.strip() \
                 or len(self.name.splitlines()) > 1:
-            raise ConfigError("name", "must be one line, without '#', ',' or "
-                              "surrounding whitespace")
+            raise ConfigError("name", "must be one line, without '#', ',', '\"' "
+                              "or surrounding whitespace")
         if self.profile not in BUILTIN_PROFILES:
             raise ConfigError("profile", f"unknown profile {self.profile!r}")
         if self.controller not in CONTROLLERS:

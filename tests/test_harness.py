@@ -5,10 +5,10 @@ import math
 import pytest
 
 from edcasim.cli import main as cli_main
-from edcasim.engine import FrameRecord
 from edcasim.harness import (SLOT_TRACE_HEADER, SUMMARY_HEADER, TRACE_HEADER,
                              _build_stations, emit_outputs, jain_index,
                              run_experiment, sweep)
+from edcasim.mac import FrameRecord
 from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
                               load_scenario)
 
@@ -193,6 +193,21 @@ class TestSweep:
         with pytest.raises(ConfigError, match="capture_threshold_db"):
             sweep(tiny_scenario(), "capture_threshold", [10, -1])
 
+    @pytest.mark.parametrize("hidden", [dict(hidden_pairs=((2, 3),)),
+                                        dict(hidden_from_ap=(1,)),
+                                        dict(hidden_links=((1, 3),))],
+                             ids=lambda kw: next(iter(kw)))
+    def test_station_axis_refuses_hidden_stations(self, monkeypatch, hidden):
+        # re-sorting the links would hand the hidden station numbers to
+        # other stations, so no point runs
+        import edcasim.harness
+        monkeypatch.setattr(edcasim.harness, "run_experiment",
+                            lambda *a, **k: pytest.fail("a point ran"))
+        base = tiny_scenario(allow_asymmetric=True, **hidden)
+        with pytest.raises(ConfigError) as err:
+            sweep(base, "n_stations", [3])
+        assert err.value.field == next(iter(hidden))
+
 
 class TestOutputs:
     def test_files_schema_and_row_counts(self, tmp_path):
@@ -328,9 +343,12 @@ class TestCli:
         ("kp_override = inf\nki_override = 5.0", ["run", "{cfg}"], "kp_override"),
         ("", ["sweep", "--base", "{cfg}", "--axis", "controller", "--values", "bogus"],
          "controller"),
+        ("hidden_pairs = 1-2", ["sweep", "--base", "{cfg}", "--axis", "n_stations",
+                                "--values", "1", "2"], "hidden_pairs"),
     ], ids=["controller", "defer_min_samples_0", "defer_min_samples_negative",
             "name_comma", "cw_ceiling_override", "cw_floor_and_ceiling_above_phy",
-            "static_cw_with_beb", "kp_override_inf", "sweep_controller"])
+            "static_cw_with_beb", "kp_override_inf", "sweep_controller",
+            "sweep_n_stations_hidden"])
     def test_config_error_exit_code(self, tmp_path, capsys, config, argv, field):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"snr_db = 30, 30\n{config}\n")

@@ -10,8 +10,9 @@ from edcasim.controllers import compute_p_opt
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
 from edcasim.estimators import BeaconCounters
 from edcasim.harness import run_once
-from edcasim.mac import (CAPTURE_MODES, TRAFFIC_KINDS, CaptureModel, Station,
-                         TrafficSource, effective_cw_max, resolve_capture, run_slot)
+from edcasim.mac import (CAPTURE_MODES, TRAFFIC_KINDS, CaptureModel, FrameRecord,
+                         Station, TrafficSource, effective_cw_max, resolve_capture,
+                         run_slot)
 from edcasim.oracle import solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24, collision_duration, success_duration
 from edcasim.scenario import Scenario
@@ -25,6 +26,11 @@ def make_station(sid, snr=30.0, cw=16, beb=True, seed=99):
                    rng=random.Random(f"t/{seed}/{sid}"),
                    traffic=TrafficSource("saturated", 1500),
                    cw_min=cw, beb=beb)
+
+
+def backoff_window(s):
+    """The window a station's next backoff draw spans."""
+    return min(s.cw_min_current << s.retry_count, s.cw_max)
 
 
 class TestResolveCapture:
@@ -79,9 +85,10 @@ class TestRunSlot:
         duration = run_slot([a, b], NO_CAPTURE, ap)
         assert a.retry_flag and b.retry_flag
         assert a.retry_count == 1 and b.retry_count == 1
-        assert a.current_cw() == 32 and b.current_cw() == 32
+        assert backoff_window(a) == 32 and backoff_window(b) == 32
         assert duration == pytest.approx(623.0)
         assert ap.r0_total + ap.r1_total == 0    # nothing decoded
+        assert a.missed == b.missed == [0, 0]
 
     def test_single_transmitter_succeeds_other_frozen(self):
         # run_slot is handed the transmitters only: a listener keeps its
@@ -102,11 +109,14 @@ class TestRunSlot:
         a.backoff_counter = b.backoff_counter = 0
         frames = []
         run_slot([a, b], CaptureModel("threshold", 10.0), BeaconCounters(), 500,
-                 lambda *f: frames.append(f))
-        assert frames == [(500, 1, True, 1, False), (500, 2, False, 1, False)]
+                 frames.append)
+        assert frames == [FrameRecord(500, 1, True, 1, False),
+                          FrameRecord(500, 2, False, 1, False)]
+        # both sniffers were busy sending the frame the AP decoded
+        assert a.missed == b.missed == [1, 0]
         assert a.counters.successes_cumulative == 1 and a.retry_count == 0
         # the loser's bookkeeping matches the pure-collision path
-        assert b.retry_flag and b.retry_count == 1 and b.current_cw() == 32
+        assert b.retry_flag and b.retry_count == 1 and backoff_window(b) == 32
 
     def test_retry_limit_drop_resets_window(self):
         a, b = make_station(1), make_station(2)
@@ -115,8 +125,29 @@ class TestRunSlot:
         a.backoff_counter = b.backoff_counter = 0
         run_slot([a, b], NO_CAPTURE, BeaconCounters())
         assert a.frames_dropped_retry == 1
-        assert a.retry_count == 0 and a.current_cw() == 16
+        assert a.retry_count == 0 and backoff_window(a) == 16
         assert a.dropped_this_interval == 1
+
+    def test_credit_sniffed_subtracts_missed_and_zeroes_it(self):
+        a = make_station(1)
+        a.missed = [2, 1]
+        a.credit_sniffed(10, 4)
+        assert (a.counters.r0, a.counters.r1) == (8, 3)
+        assert (a.counters.r0_total, a.counters.r1_total) == (8, 3)
+        assert a.missed == [0, 0]
+        a.credit_sniffed(5, 2)
+        assert (a.counters.r0, a.counters.r1) == (5, 2)
+
+    def test_failure_at_the_retry_limit_drops_once(self):
+        a = make_station(1)
+        a.retry_count = PROFILE.max_retry - 1
+        a.resolve_failure(100)
+        assert a.retry_count == PROFILE.max_retry and a.frames_dropped_retry == 0
+        a._frame_attempts = PROFILE.max_retry + 1
+        a.resolve_failure(200)
+        assert a.frames_dropped_retry == a.dropped_this_interval == 1
+        assert a.attempts_resolved == PROFILE.max_retry + 1
+        assert a.retry_count == 0 and backoff_window(a) == 16
 
     def test_retry_flag_tracks_retry_count(self):
         a = make_station(1)
@@ -184,7 +215,7 @@ class TestCachedCeiling:
             ceiling = effective_cw_max(cw_min, PROFILE.m_backoff_stages,
                                        PROFILE.cw_ceiling)
             window = min(cw_min << retry_count, ceiling) if beb else cw_min
-            assert s.current_cw() == window
+            assert backoff_window(s) == window
             s.draw_backoff()
             assert 0 <= s.backoff_counter < window
 

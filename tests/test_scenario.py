@@ -106,6 +106,7 @@ class TestValidation:
         (dict(cw_floor_override=2048, cw_ceiling_override=4096), "cw_ceiling_override"),
         (dict(static_cw=2048, static_beb=True), "static_cw"),
         (dict(kp_override=float("inf"), ki_override=5.0), "kp_override"),
+        (dict(name='"q'), "name"),
     ])
     def test_field_errors(self, kw, field):
         # a Scenario is checked when it is built
