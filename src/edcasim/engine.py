@@ -8,12 +8,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import TYPE_CHECKING
 
-from .controllers import (ControllerState, PiGains, cac_step, compute_gains, dac_step,
-                          initial_state)
-from .estimators import MIN_POBS_SAMPLES, BeaconCounters, estimate_p_obs, estimate_p_own
+from .controllers import (ControllerState, PiGains, cac_step, compute_gains, compute_p_opt,
+                          dac_step, initial_state)
+from .estimators import BeaconCounters, estimate_p_obs, estimate_p_own
 from .mac import CaptureModel, Station, run_slot
 from .phy import PhyProfile
+
+if TYPE_CHECKING:   # `scenario` imports CONTROLLERS from this module
+    from .scenario import Scenario
 
 
 @dataclass(slots=True)
@@ -76,54 +81,56 @@ CONTROLLERS = ("cac", "dac", "edca-static")
 
 
 class ControlPlane:
-    """Runs the per-beacon controller updates and builds the trace records.
+    """Closes the control loop once per beacon and keeps what it reads and
+    writes: the AP's counters (`ap`) and the run's trace records (`records`).
 
     mode "cac": one controller at the AP, window broadcast to every station.
     mode "dac": one controller per station, committed locally.
     mode "edca-static": no adaptation; estimates are still traced.
     """
 
-    def __init__(self, mode: str, station_ids: list[int], profile: PhyProfile,
-                 p_opt: float, min_samples: int = MIN_POBS_SAMPLES,
-                 gains_override: tuple[float, float] | None = None,
-                 cw_bounds: tuple[int, int] | None = None):
-        self.mode = mode
-        self.profile = profile
-        self.p_opt = p_opt
-        self.min_samples = min_samples
-        floor, ceiling = cw_bounds or (profile.cw_floor, profile.cw_ceiling)
+    def __init__(self, scenario: Scenario, station_ids: list[int]):
+        self.mode = mode = scenario.controller
+        self.profile = profile = scenario.phy()
+        self.p_opt = compute_p_opt(profile, scenario.payload_bytes).p_opt
+        self.min_samples = scenario.defer_min_samples
+        floor, ceiling = scenario.cw_bounds()
         if mode == "edca-static":
             self.gains = None
-        elif gains_override is not None:
-            self.gains = PiGains(*gains_override)
+        elif scenario.kp_override is not None:
+            self.gains = PiGains(scenario.kp_override, scenario.ki_override)
         else:
-            self.gains = compute_gains(p_opt, profile.m_backoff_stages)
+            self.gains = compute_gains(self.p_opt, profile.m_backoff_stages)
         self.cac_state: ControllerState | None = (
             initial_state(self.gains, floor, ceiling) if mode == "cac" else None)
         self.dac_states: dict[int, ControllerState] = (
             {i: initial_state(self.gains, floor, ceiling) for i in station_ids}
             if mode == "dac" else {})
         self.cw_cap_hits = 0   # announced/committed window pinned at a bound
+        self.ap = BeaconCounters()   # the AP's decoded frames, fed by the engine
+        self.records: list[IntervalRecord] = []
         self._names = {i: f"sta{i}" for i in station_ids}   # trace node names
 
     @staticmethod
     def _step_error(old: ControllerState, new: ControllerState) -> float | None:
         return new.prev_error if new is not old else None
 
-    def beacon_update(self, t_ms: int, stations: list[Station],
-                      ap_counters: BeaconCounters) -> list[IntervalRecord]:
-        """Step the controllers on this interval's estimates, commit their
-        windows, roll the counters, and return the interval's records: the
+    def beacon_update(self, t_ms: int, stations: list[Station], heard) -> None:
+        """Close the interval: credit each station's sniffed tallies, step the
+        controllers on the interval's estimates, commit their windows, roll
+        the counters, and append the interval's records to `records`: the
         AP's, then one per station in `stations` order.
 
-        Each station takes one pass: its estimates, its roll, its step, its
-        commit and its record. A station's estimates read only its own
-        counters, so rolling it inside the pass is exact."""
+        `heard` yields each station's vantage tally, `(r0, r1)` in `stations`
+        order; a station is credited with it less its `missed`, which is
+        then zeroed. Each station takes one pass: its credit, its estimates,
+        its roll, its step, its commit and its record. A station's estimates
+        read only its own counters, so rolling it inside the pass is exact."""
         min_samples, max_retry, p_opt = self.min_samples, self.profile.max_retry, self.p_opt
-        names, states = self._names, self.dac_states
+        names, states, records = self._names, self.dac_states, self.records
         dac = self.mode == "dac"
-        ap_p_obs = estimate_p_obs(ap_counters, min_samples)
-        ap_counters.roll_interval()
+        ap_p_obs = estimate_p_obs(self.ap, min_samples)
+        self.ap.roll_interval()
         announced = None
         if self.mode == "cac":
             old = self.cac_state
@@ -131,13 +138,16 @@ class ControlPlane:
             self.cac_state = new
             if announced in (new.cw_floor, new.cw_ceiling):
                 self.cw_cap_hits += 1
-            records = [IntervalRecord(t_ms, "ap", ap_p_obs, None,
-                                      self._step_error(old, new), new.cw_real, announced)]
+            records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None,
+                                          self._step_error(old, new), new.cw_real,
+                                          announced))
         else:
-            records = [IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None)]
+            records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
 
-        for s in stations:
-            counters = s.counters
+        for s, (r0, r1) in zip(stations, heard):
+            counters, missed = s.counters, s.missed
+            counters.credit(r0 - missed[0], r1 - missed[1])
+            missed[0] = missed[1] = 0
             p_obs = estimate_p_obs(counters, min_samples)
             p_own = estimate_p_own(counters, max_retry, s.dropped_this_interval)
             s.roll_interval()
@@ -156,13 +166,13 @@ class ControlPlane:
                     s.commit_cw_min(announced)
                 records.append(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
                                               None, None, s.cw_min_current))
-        return records
 
 
 def run_slotted(stations: list[Station], profile: PhyProfile,
                 capture: CaptureModel, control: ControlPlane,
                 duration_us: int, slot_log=None) -> RunResult:
-    """Simulate a fully connected WLAN for a whole number of beacon intervals.
+    """Simulate a fully connected WLAN for `duration_us`, a whole number of
+    beacon intervals.
 
     Every backlogged counter drops by one in each idle slot and freezes
     while the channel is busy, so the loop keeps one count of elapsed idle
@@ -174,21 +184,17 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     out before then leads into its transmission in the same loop pass.
     Every station that does not transmit sniffs exactly the frames the AP
     decodes, so `run_slot` notes only the AP's gains during a station's own
-    transmit events (`Station.missed`), and each station's tallies are read
-    off the AP's at each beacon. So a channel event costs O(transmitters)
-    for both traffic kinds; only the set-up, the beacons and the end visit
-    every station.
+    transmit events (`Station.missed`), and at each beacon the control
+    plane credits every station with the AP's tally less those. So a
+    channel event costs O(transmitters) for both traffic kinds; only the
+    set-up, the beacons and the end visit every station.
 
     `slot_log`, when given, receives a FrameRecord for every data frame.
     """
-    ap_counters = BeaconCounters()
-    n_intervals = duration_us // profile.beacon_interval
-
+    ap = control.ap
     slot = profile.slot_time
-    records: list[IntervalRecord] = []
     t = 0
     next_beacon = profile.beacon_interval
-    interval_idx = 0
 
     idle = 0   # idle slots elapsed since the start of the run
     # (fire slot, station id, station): ties go in id order, the order of
@@ -199,16 +205,11 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     arrivals = [(s.traffic.arrival_us, s.id, s) for s in stations if not s.backlogged]
     heapq.heapify(arrivals)
 
-    while interval_idx < n_intervals:
+    while next_beacon <= duration_us:
         if t >= next_beacon:
-            r0, r1 = ap_counters.r0, ap_counters.r1
-            for s in stations:
-                s.credit_sniffed(r0, r1)
-            records.extend(control.beacon_update(next_beacon // 1000,
-                                                 stations, ap_counters))
+            control.beacon_update(next_beacon // 1000, stations, repeat((ap.r0, ap.r1)))
             t += profile.beacon_airtime + profile.aifs
             next_beacon += profile.beacon_interval
-            interval_idx += 1
             continue
 
         while arrivals and arrivals[0][0] <= t:
@@ -240,7 +241,7 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             s = heapq.heappop(fires)[2]
             s.backoff_counter = 0
             transmitters.append(s)
-        t += run_slot(transmitters, capture, ap_counters, t, slot_log)
+        t += run_slot(transmitters, capture, ap, t, slot_log)
         for s in transmitters:
             if s.backlogged:
                 heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
@@ -249,5 +250,4 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
 
     for fire, _, s in fires:
         s.backoff_counter = fire - idle
-    return RunResult.from_stations(stations, records,
-                                   n_intervals * profile.beacon_interval)
+    return RunResult.from_stations(stations, control.records, duration_us)

@@ -24,7 +24,7 @@ at all of them. Each event therefore touches only the classes that hear it:
   ends with the clock's.
 - A class keeps one tally of the data frames it heard cleanly. A source
   notes its own frames in that tally as `Station.missed`, and at the beacon
-  each station's sniffed counters are read off it, less those.
+  the control plane credits each station with its class's tally, less those.
 
 A pending start is not a heap entry: each class tables its clock's earliest
 start, and each lone station its own, and the main loop orders them against
@@ -43,7 +43,6 @@ import heapq
 import itertools
 
 from .engine import ControlPlane, RunResult
-from .estimators import BeaconCounters
 from .mac import CaptureModel, FrameRecord, Station
 from .phy import PhyProfile, data_airtime
 
@@ -124,10 +123,11 @@ class EventEngine:
         self.control = control
         self.ap_hears = ap_hears
         self.duration_us = duration_us
-        self.ap_counters = BeaconCounters()
 
         self._classes = [_HearingClass(m) for m in hearing_classes(heard)]
         self._class_of = {i: c for c in self._classes for i in c.members}
+        # each station's vantage tally, in `_station_list` order
+        self._sniffed = [self._class_of[i].sniffed for i in self.stations]
         # Per source: the classes with a member that hears it (its own class
         # if it has other members), and its audience bitmask of stations
         # (the source and those that hear it).
@@ -154,7 +154,6 @@ class EventEngine:
         self._resume_at = dict.fromkeys(self.stations, 0)
         self._garbled_since = 0     # bitmask: lost a frame since it last deferred
         self._ap_tx_until = 0
-        self.records = []
 
     # -- event plumbing -----------------------------------------------------
 
@@ -350,7 +349,7 @@ class EventEngine:
         if self.slot_log is not None:
             self.slot_log(FrameRecord(tx.start, src, decoded, len(overlaps), flag))
         if decoded:
-            self.ap_counters.observe_frame(flag)
+            self.control.ap.observe_frame(flag)
             self._then(t + self.profile.sifs, _P_ACK, EventEngine._on_ack_start, tx)
         else:
             self._then(t + self._ack_timeout, _P_FAIL, EventEngine._on_tx_fail, tx)
@@ -399,13 +398,7 @@ class EventEngine:
 
     def _on_beacon(self, t, _payload):
         self._beacons_left -= 1
-        # Each station's flag tallies are read off its class's, less the
-        # frames it missed.
-        for s in self._station_list:
-            heard = self._class_of[s.id].sniffed
-            s.credit_sniffed(heard[0], heard[1])
-        self.records.extend(self.control.beacon_update(
-            t // 1000, self._station_list, self.ap_counters))
+        self.control.beacon_update(t // 1000, self._station_list, self._sniffed)
         for c in self._classes:
             c.sniffed[0] = c.sniffed[1] = 0
         start = max(t, self._ap_tx_until)
@@ -442,5 +435,5 @@ class EventEngine:
             t, _prio, _seq, handler, payload = heapq.heappop(heap)
             handler(self, t, payload)
 
-        return RunResult.from_stations(self._station_list, self.records,
-                                       n_intervals * self.profile.beacon_interval)
+        return RunResult.from_stations(self._station_list, self.control.records,
+                                       self.duration_us)

@@ -8,33 +8,22 @@ import math
 import os
 import random
 from dataclasses import dataclass, replace
+from itertools import repeat
 
-from .controllers import compute_p_opt
 from .engine import ControlPlane, RunResult, run_slotted
 from .eventmac import EventEngine
 from .mac import CaptureModel, FrameRecord, Station, TrafficSource
 from .scenario import ConfigError, Scenario, emit_scenario, hidden_node_visibility
 
 
-def jain_index(throughputs: list[float]) -> float:
-    """Fairness index (sum x)^2 / (n * sum x^2); 1 when all equal, 1/n worst."""
-    if not throughputs:
-        raise ValueError("empty throughput vector")
-    if any(x < 0 for x in throughputs):
-        raise ValueError("throughputs must be non-negative")
+def jain_index(throughputs: list[float]) -> float | None:
+    """Fairness index (sum x)^2 / (n * sum x^2); 1 when all equal, 1/n worst,
+    None when every throughput is 0 (or there are none)."""
     sq = sum(x * x for x in throughputs)
     if sq == 0:
-        raise ValueError("all-zero throughput vector")
+        return None
     total = sum(throughputs)
     return (total * total) / (len(throughputs) * sq)
-
-
-def _jain_or_none(throughputs: list[float]) -> float | None:
-    """Fairness index, or None for degenerate (all-zero) allocations."""
-    try:
-        return jain_index(throughputs)
-    except ValueError:
-        return None
 
 
 def _station_rng(run_seed: int, sid: int, purpose: str) -> random.Random:
@@ -73,13 +62,7 @@ def run_once(scenario: Scenario, rep: int, slot_log=None) -> RunResult:
     stations = _build_stations(scenario, scenario.seed + rep)
     capture = CaptureModel(mode=scenario.capture_mode,
                            threshold_db=scenario.capture_threshold_db)
-    point = compute_p_opt(profile, scenario.payload_bytes)
-    gains = None
-    if scenario.kp_override is not None:
-        gains = (scenario.kp_override, scenario.ki_override)
-    control = ControlPlane(scenario.controller, [s.id for s in stations], profile,
-                           point.p_opt, scenario.defer_min_samples,
-                           gains_override=gains, cw_bounds=scenario.cw_bounds())
+    control = ControlPlane(scenario, [s.id for s in stations])
     if scenario.is_fully_connected():
         return run_slotted(stations, profile, capture, control,
                            scenario.duration_us, slot_log=slot_log)
@@ -93,7 +76,6 @@ def run_once(scenario: Scenario, rep: int, slot_log=None) -> RunResult:
 class ExperimentResult:
     scenario: Scenario
     runs: list[RunResult]
-    seeds: list[int]
 
     @property
     def station_ids(self) -> list[int]:
@@ -108,7 +90,7 @@ class ExperimentResult:
                          / len(self.runs))
 
     def jain_per_run(self) -> list[float | None]:
-        return [_jain_or_none([r.throughput_mbps[i] for i in self.station_ids])
+        return [jain_index([r.throughput_mbps[i] for i in self.station_ids])
                 for r in self.runs]
 
     def jain_mean(self) -> float | None:
@@ -133,17 +115,12 @@ def run_experiment(scenario: Scenario, jobs: int = 1,
         # serial runs never need it.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(reps) - 1)) as pool:
-            rest = pool.map(_run_once_star, [(scenario, r) for r in reps[1:]])
+            rest = pool.map(run_once, repeat(scenario), reps[1:])
             runs = [run_once(scenario, 0, slot_log=slot_log), *rest]
     else:
         runs = [run_once(scenario, r, slot_log=slot_log if r == 0 else None)
                 for r in reps]
-    return ExperimentResult(scenario=scenario, runs=runs,
-                            seeds=[scenario.seed + r for r in reps])
-
-
-def _run_once_star(args):
-    return run_once(*args)
+    return ExperimentResult(scenario=scenario, runs=runs)
 
 
 # Sweep axis -> parser of its values; `sweep` applies it to every value.
@@ -235,7 +212,7 @@ def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
             for rep, (run, jfi) in enumerate(zip(result.runs, result.jain_per_run())):
                 jfi = "" if jfi is None else f"{jfi:.6f}"
                 for sid in run.station_ids:
-                    fh.write(f"{scenario.name},{result.seeds[rep]},{sid},"
+                    fh.write(f"{scenario.name},{scenario.seed + rep},{sid},"
                              f"{run.snr_db[sid]:.6f},{run.throughput_mbps[sid]:.6f},{jfi}\n")
         with open(paths["trace.csv"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRACE_HEADER + "\n")

@@ -124,7 +124,7 @@ class Station:
         # Sniffer + driver-style counters (one vantage point per station).
         self.counters = BeaconCounters()
         # (r0, r1) of the frames in this vantage's tally that its sniffer
-        # did not hear this interval; `credit_sniffed` subtracts them.
+        # did not hear this interval; the beacon update subtracts them.
         self.missed = [0, 0]
         self.dropped_this_interval = 0
         # Whole-run accounting over *resolved* frames.
@@ -188,13 +188,6 @@ class Station:
         self.traffic.activate()
         self.backlogged = True
         self.draw_backoff()
-
-    def credit_sniffed(self, r0: int, r1: int) -> None:
-        """Credit this interval's sniffed tallies: the vantage's `(r0, r1)`
-        less the frames it missed."""
-        missed = self.missed
-        self.counters.credit(r0 - missed[0], r1 - missed[1])
-        missed[0] = missed[1] = 0
 
     def roll_interval(self) -> None:
         self.counters.roll_interval()

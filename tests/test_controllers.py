@@ -287,6 +287,31 @@ class TestSteps:
             assert state.cw_real == 16.0 and state.cw_quantized == 16
 
 
+class TestControlPlaneSettings:
+    def test_defaults_come_from_the_phy_and_payload(self):
+        sc = Scenario(snr_db=(30.0,) * 3, controller="dac")
+        plane = ControlPlane(sc, [1, 2, 3])
+        assert plane.p_opt == pytest.approx(P_OPT_80211A_1500, rel=1e-12)
+        assert plane.min_samples == sc.defer_min_samples
+        assert plane.gains == compute_gains(plane.p_opt, sc.phy().m_backoff_stages)
+        assert set(plane.dac_states) == {1, 2, 3}
+        assert all((st.cw_floor, st.cw_ceiling) == sc.cw_bounds()
+                   for st in plane.dac_states.values())
+        assert plane.cac_state is None and plane.records == []
+
+    def test_overrides_are_read_off_the_scenario(self):
+        sc = Scenario(snr_db=(30.0,), controller="cac", payload_bytes=200,
+                      defer_min_samples=7, kp_override=3.0, ki_override=2.0,
+                      cw_floor_override=8, cw_ceiling_override=256)
+        plane = ControlPlane(sc, [1])
+        assert plane.p_opt == compute_p_opt(sc.phy(), 200).p_opt
+        assert plane.min_samples == 7
+        assert plane.gains == PiGains(3.0, 2.0)
+        state = plane.cac_state
+        assert (state.cw_floor, state.cw_ceiling, state.cw_quantized) == (8, 256, 8)
+        assert plane.dac_states == {}
+
+
 class TestWindowBoundHits:
     @pytest.mark.parametrize("controller,hits", [("cac", 20), ("dac", 80)])
     def test_every_step_at_a_bound_counts(self, controller, hits):
@@ -296,20 +321,23 @@ class TestWindowBoundHits:
         sc = Scenario(snr_db=(30.0,) * 4, controller=controller, duration_s=2.0,
                       replications=1, seed=3, defer_min_samples=10 ** 9)
         stations = _build_stations(sc, sc.seed)
-        control = ControlPlane(controller, [s.id for s in stations], sc.phy(),
-                               0.16, sc.defer_min_samples)
+        control = ControlPlane(sc, [s.id for s in stations])
         run_slotted(stations, sc.phy(), CaptureModel(), control, sc.duration_us)
         assert all(s.cw_min_current == 16 for s in stations)
         assert control.cw_cap_hits == hits
 
 
 def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Station],
-                            ap_counters: BeaconCounters) -> list[IntervalRecord]:
-    """Reference for `ControlPlane.beacon_update`: every station stepped
-    through the public estimators and controller steps, every window
-    committed, and the counters rolled in a second loop."""
-    records = []
-    ap_p_obs = estimate_p_obs(ap_counters, plane.min_samples)
+                            heard) -> None:
+    """Reference for `ControlPlane.beacon_update`: every station credited in
+    a walk of its own, then stepped through the public estimators and
+    controller steps, every window committed, and the counters rolled in a
+    last loop."""
+    for s, (r0, r1) in zip(stations, heard):
+        s.counters.credit(r0 - s.missed[0], r1 - s.missed[1])
+        s.missed[0] = s.missed[1] = 0
+    records = plane.records
+    ap_p_obs = estimate_p_obs(plane.ap, plane.min_samples)
     if plane.mode == "cac":
         old = plane.cac_state
         plane.cac_state, announced = cac_step(ap_p_obs, old, plane.p_opt)
@@ -339,79 +367,94 @@ def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Stati
         else:
             records.append(IntervalRecord(t_ms, f"sta{s.id}", p_obs, p_own, None,
                                           None, s.cw_min_current))
-    ap_counters.roll_interval()
+    plane.ap.roll_interval()
     for s in stations:
         s.roll_interval()
-    return records
 
 
-# One interval's counter gains at one vantage: (r0, r1, successes, retries,
+_POW2 = [1 << k for k in range(11)]   # 1..1024, up to the PHY's window ceiling
+
+# One interval at one station: its vantage tally (r0, r1), the frames of it
+# the station missed (m0, m1), and its counter gains (successes, retries,
 # drops). Small values make the estimators defer often.
-_GAINS = st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 12),
-                   st.integers(0, 12), st.integers(0, 3))
+_STATION_INTERVAL = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.integers(0, 40), st.integers(0, 40),
+                              st.integers(0, 12), st.integers(0, 12),
+                              st.integers(0, 3)).map(
+    lambda g: (g[0] + g[2], g[1] + g[3], g[0], g[1], *g[4:]))
 
 
 @st.composite
 def beacon_runs(draw):
-    floor_exp = draw(st.integers(0, 8))
-    ceiling_exp = draw(st.integers(floor_exp, 10))
+    """A control plane's scenario, its stations' windows, and 1-5 intervals
+    of the AP's (r0, r1) and each station's `_STATION_INTERVAL`."""
+    floor = draw(st.none() | st.sampled_from(_POW2[:10]))
+    lo = floor or PROFILE_80211A_24.cw_floor
+    ceiling = draw(st.none() | st.sampled_from([w for w in _POW2 if w > lo]))
+    hi = ceiling or PROFILE_80211A_24.cw_ceiling
+    gains = draw(st.none() | st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)))
     n = draw(st.integers(1, 6))
+    scenario = Scenario(
+        snr_db=(30.0,) * n, controller=draw(st.sampled_from(CONTROLLERS)),
+        payload_bytes=draw(st.integers(1, 2304)),
+        defer_min_samples=draw(st.integers(1, 30)),
+        cw_floor_override=floor, cw_ceiling_override=ceiling,
+        kp_override=gains and gains[0], ki_override=gains and gains[1])
+    windows = [w for w in _POW2 if lo <= w <= hi]
     return dict(
-        mode=draw(st.sampled_from(CONTROLLERS)),
-        cw_bounds=(1 << floor_exp, 1 << ceiling_exp),
-        p_opt=draw(st.floats(0.02, 0.45)),
-        min_samples=draw(st.integers(1, 30)),
-        windows=draw(st.lists(st.integers(floor_exp, ceiling_exp).map(lambda k: 1 << k),
-                              min_size=n, max_size=n)),
+        scenario=scenario,
+        windows=draw(st.lists(st.sampled_from(windows), min_size=n, max_size=n)),
         bebs=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-        intervals=draw(st.lists(st.lists(_GAINS, min_size=n + 1, max_size=n + 1),
-                                min_size=1, max_size=5)),
+        intervals=draw(st.lists(
+            st.tuples(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                      st.lists(_STATION_INTERVAL, min_size=n, max_size=n)),
+            min_size=1, max_size=5)),
     )
 
 
 def _counter_state(s: Station):
-    return (dataclasses.astuple(s.counters), s.dropped_this_interval,
+    return (dataclasses.astuple(s.counters), s.missed, s.dropped_this_interval,
             s.cw_min_current, s.cw_max)
 
 
 class TestFusedBeaconPass:
-    """`beacon_update` steps, commits, records and rolls each station in one
-    pass; it must equal the plain two-pass update."""
+    """`beacon_update` credits, steps, commits, records and rolls each
+    station in one pass; it must equal the plain update after a walk of its
+    own to credit the sniffed tallies."""
 
     @settings(max_examples=80, deadline=None)
     @given(beacon_runs())
     def test_matches_the_two_pass_reference(self, run):
-        profile = PROFILE_80211A_24
+        sc = run["scenario"]
+        profile = sc.phy()
         sides = []
         for _ in range(2):
             stations = [Station(i, 30.0, profile, random.Random(i),
                                 TrafficSource("saturated", 1500), cw, beb)
                         for i, (cw, beb) in enumerate(zip(run["windows"], run["bebs"]), 1)]
-            plane = ControlPlane(run["mode"], [s.id for s in stations], profile,
-                                 run["p_opt"], run["min_samples"],
-                                 cw_bounds=run["cw_bounds"])
-            sides.append((plane, stations, BeaconCounters()))
-        for k, gains in enumerate(run["intervals"], 1):
-            out = []
-            for (plane, stations, ap), update in zip(
+            sides.append((ControlPlane(sc, [s.id for s in stations]), stations))
+        for k, ((ap_r0, ap_r1), gains) in enumerate(run["intervals"], 1):
+            for (plane, stations), update in zip(
                     sides, (ControlPlane.beacon_update, _two_pass_beacon_update)):
-                for c, (r0, r1, ok, retries, drops) in zip(
-                        [ap] + [s.counters for s in stations], gains):
-                    c.r0, c.r1 = r0, r1
-                    c.successes_cumulative += ok
-                    c.failures_cumulative += retries
-                for s, g in zip(stations, gains[1:]):
-                    s.dropped_this_interval = g[4]
-                out.append(update(plane, 100 * k, stations, ap))
-            fused, reference = sides
-            assert out[0] == out[1]
-            assert fused[0].cw_cap_hits == reference[0].cw_cap_hits
-            assert fused[0].cac_state == reference[0].cac_state
-            assert fused[0].dac_states == reference[0].dac_states
-            assert dataclasses.astuple(fused[2]) == dataclasses.astuple(reference[2])
-            for s, ref in zip(fused[1], reference[1]):
+                plane.ap.r0, plane.ap.r1 = ap_r0, ap_r1
+                for s, (_, _, m0, m1, ok, retries, drops) in zip(stations, gains):
+                    s.missed[0] += m0
+                    s.missed[1] += m1
+                    s.counters.successes_cumulative += ok
+                    s.counters.failures_cumulative += retries
+                    s.dropped_this_interval = drops
+                update(plane, 100 * k, stations, [g[:2] for g in gains])
+            (fused, fused_stations), (reference, reference_stations) = sides
+            assert fused.records == reference.records
+            assert len(fused.records) == k * (len(fused_stations) + 1)
+            assert fused.cw_cap_hits == reference.cw_cap_hits
+            assert fused.cac_state == reference.cac_state
+            assert fused.dac_states == reference.dac_states
+            assert dataclasses.astuple(fused.ap) == dataclasses.astuple(reference.ap)
+            for s, ref in zip(fused_stations, reference_stations):
                 assert _counter_state(s) == _counter_state(ref)
                 assert s.counters.r0 == s.counters.r1 == s.dropped_this_interval == 0
+                assert s.missed == [0, 0]
                 assert s.cw_max == (effective_cw_max(s.cw_min_current,
                                                      profile.m_backoff_stages,
                                                      profile.cw_ceiling)

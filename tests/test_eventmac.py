@@ -5,7 +5,6 @@ from collections import defaultdict
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from edcasim.controllers import compute_p_opt
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
 from edcasim.eventmac import EventEngine, hearing_classes
 from edcasim.harness import (ExperimentResult, _build_stations, emit_outputs, run_once,
@@ -86,15 +85,13 @@ class TestHiddenPair:
 def _run_both_engines(sc):
     """One replication of a fully connected scenario on each engine."""
     profile = sc.phy()
-    point = compute_p_opt(profile, sc.payload_bytes)
     capture = CaptureModel(mode=sc.capture_mode,
                            threshold_db=sc.capture_threshold_db)
     ids = range(1, sc.n_stations + 1)
     results = {}
     for engine in ("slotted", "event"):
         stations = _build_stations(sc, sc.seed)
-        control = ControlPlane(sc.controller, [s.id for s in stations],
-                               profile, point.p_opt)
+        control = ControlPlane(sc, [s.id for s in stations])
         if engine == "slotted":
             results[engine] = run_slotted(stations, profile, capture,
                                           control, sc.duration_us)
@@ -323,7 +320,7 @@ class TestGolden:
         assert not sc.is_fully_connected()
         frames = io.StringIO()
         res = run_once(sc, 0, slot_log=slot_trace_writer(frames))
-        emit_outputs(ExperimentResult(sc, [res], [sc.seed]), str(tmp_path))
+        emit_outputs(ExperimentResult(sc, [res]), str(tmp_path))
         got = (res.attempts, res.successes, res.retries, res.drops,
                res.delivered_bytes, res.sniffed_flags, len(res.records),
                hashlib.sha256(frames.getvalue().encode()).hexdigest(),
@@ -362,8 +359,7 @@ def _engine_for(cls, sc, slot_log=None):
     heard, ap_hears = hidden_node_visibility(sc)
     profile = sc.phy()
     stations = _build_stations(sc, sc.seed)
-    control = ControlPlane(sc.controller, [s.id for s in stations], profile,
-                           compute_p_opt(profile, sc.payload_bytes).p_opt)
+    control = ControlPlane(sc, [s.id for s in stations])
     capture = CaptureModel(mode=sc.capture_mode,
                            threshold_db=sc.capture_threshold_db)
     return cls(stations, profile, capture, control, heard, ap_hears,

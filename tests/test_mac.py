@@ -33,6 +33,12 @@ def backoff_window(s):
     return min(s.cw_min_current << s.retry_count, s.cw_max)
 
 
+def control_plane(controller, stations):
+    """A control plane for `stations` with a default scenario's settings."""
+    sc = Scenario(snr_db=(30.0,) * len(stations), controller=controller)
+    return ControlPlane(sc, [s.id for s in stations])
+
+
 class TestResolveCapture:
     def test_clear_margin_wins(self):
         assert resolve_capture({1: 30.0, 2: 19.0},
@@ -129,14 +135,17 @@ class TestRunSlot:
         assert a.dropped_this_interval == 1
 
     def test_credit_sniffed_subtracts_missed_and_zeroes_it(self):
+        # the beacon update credits the vantage's tally less `missed`
         a = make_station(1)
+        control = control_plane("edca-static", [a])
         a.missed = [2, 1]
-        a.credit_sniffed(10, 4)
-        assert (a.counters.r0, a.counters.r1) == (8, 3)
-        assert (a.counters.r0_total, a.counters.r1_total) == (8, 3)
+        control.beacon_update(100, [a], [(30, 14)])
+        assert control.records[-1].p_obs == 13 / 41
+        assert (a.counters.r0_total, a.counters.r1_total) == (28, 13)
         assert a.missed == [0, 0]
-        a.credit_sniffed(5, 2)
-        assert (a.counters.r0, a.counters.r1) == (5, 2)
+        control.beacon_update(200, [a], [(25, 5)])
+        assert control.records[-1].p_obs == 5 / 30
+        assert (a.counters.r0_total, a.counters.r1_total) == (53, 18)
 
     def test_failure_at_the_retry_limit_drops_once(self):
         a = make_station(1)
@@ -247,9 +256,7 @@ class TestInvariants:
 
     def test_accounting_identity_via_stations(self):
         stations = [make_station(i) for i in range(1, 7)]
-        point = compute_p_opt(PROFILE, 1500)
-        control = ControlPlane("edca-static", [s.id for s in stations],
-                               PROFILE, point.p_opt)
+        control = control_plane("edca-static", stations)
         run_slotted(stations, PROFILE, NO_CAPTURE, control, 2_000_000)
         for s in stations:
             retries = s.counters.failures_cumulative
@@ -259,9 +266,7 @@ class TestInvariants:
     def test_retry_flag_soundness(self):
         # every decoded first-attempt frame carries flag 0, retransmissions 1
         stations = [make_station(i, seed=5) for i in range(1, 5)]
-        point = compute_p_opt(PROFILE, 1500)
-        control = ControlPlane("edca-static", [s.id for s in stations],
-                               PROFILE, point.p_opt)
+        control = control_plane("edca-static", stations)
         failed = {s.id: 0 for s in stations}   # failed attempts of the current frame
         flags = []
 
@@ -433,9 +438,7 @@ class TestBeaconInterval:
             s.backlogged = False
             s.traffic.kind = "onoff"
             s.traffic.arrival_us = 10**9   # far beyond the run
-        point = compute_p_opt(PROFILE, 1500)
-        control = ControlPlane("cac", [s.id for s in stations], PROFILE,
-                               point.p_opt)
+        control = control_plane("cac", stations)
         res = run_slotted(stations, PROFILE, NO_CAPTURE, control, 300_000)
         assert all(s.counters.r0_total == s.counters.r1_total == 0
                    for s in stations)
@@ -448,8 +451,7 @@ class TestBeaconInterval:
 
     def test_single_station_never_sets_retry_flags(self):
         stations = [make_station(1)]
-        point = compute_p_opt(PROFILE, 1500)
-        control = ControlPlane("cac", [1], PROFILE, point.p_opt)
+        control = control_plane("cac", stations)
         res = run_slotted(stations, PROFILE, NO_CAPTURE, control, 1_000_000)
         # no contention: flag-1 observations are impossible at any vantage
         assert stations[0].counters.r1_total == 0
@@ -467,7 +469,7 @@ class TestBeaconInterval:
                           rng=random.Random("t/beacon"),
                           traffic=TrafficSource("saturated", 1500), cw_min=16)
         station.backoff_counter = profile.beacon_interval // profile.slot_time
-        control = ControlPlane("edca-static", [1], profile, 0.16)
+        control = control_plane("edca-static", [station])
         frames = []
         run_slotted([station], profile, NO_CAPTURE, control,
                     2 * profile.beacon_interval, slot_log=frames.append)

@@ -64,50 +64,60 @@ class TestParsing:
         assert sc.hidden_pairs == ((1, 2), (2, 3))
 
 
+# Bad fields, each under its test id. The ids are spelled out, so a case
+# added anywhere renames no other.
+_FIELD_ERRORS = {
+    "kw0-controller": (dict(controller="auto"), "controller"),
+    "kw1-traffic": (dict(traffic="tcp"), "traffic"),
+    "kw2-capture_mode": (dict(capture_mode="ber"), "capture_mode"),
+    "kw3-replications": (dict(replications=0), "replications"),
+    "kw4-duration_s": (dict(duration_s=0.5), "duration_s"),
+    "kw5-snr_db": (dict(snr_db=(float("inf"), 30.0)), "snr_db"),
+    "kw6-hidden_pairs": (dict(hidden_pairs=((1, 4),)), "hidden_pairs"),
+    "kw7-hidden_pairs": (dict(hidden_pairs=((2, 2),)), "hidden_pairs"),
+    "kw8-hidden_from_ap": (dict(hidden_from_ap=(9,)), "hidden_from_ap"),
+    "kw9-station_add_order": (dict(station_add_order="random"),
+                              "station_add_order"),
+    "kw10-snr_jitter_db": (dict(snr_jitter_db=-1.0), "snr_jitter_db"),
+    "kw11-burst_bytes": (dict(traffic="onoff", burst_bytes=100), "burst_bytes"),
+    "kw12-duration_s": (dict(duration_s=float("nan")), "duration_s"),
+    "kw13-duration_s": (dict(duration_s=float("inf")), "duration_s"),
+    "kw14-capture_threshold_db": (dict(capture_threshold_db=float("nan")),
+                                  "capture_threshold_db"),
+    "kw15-capture_threshold_db": (dict(capture_threshold_db=0.0), "capture_threshold_db"),
+    "kw16-cw_floor_override": (dict(cw_floor_override=-8), "cw_floor_override"),
+    "kw17-cw_floor_override": (dict(cw_floor_override=0), "cw_floor_override"),
+    "kw18-cw_floor_override": (dict(cw_floor_override=24), "cw_floor_override"),
+    "kw19-cw_floor_override": (dict(cw_floor_override=2048), "cw_floor_override"),
+    "kw20-cw_ceiling_override": (dict(cw_ceiling_override=8), "cw_ceiling_override"),
+    "kw21-cw_floor_override": (dict(cw_floor_override=64, cw_ceiling_override=64),
+                               "cw_floor_override"),
+    "kw22-ki_override": (dict(kp_override=5.0), "ki_override"),
+    "kw23-kp_override": (dict(ki_override=5.0), "kp_override"),
+    "kw24-kp_override": (dict(kp_override=-5.0, ki_override=5.0), "kp_override"),
+    "kw25-name": (dict(name="a#b"), "name"),
+    "kw26-name": (dict(name="two\nlines"), "name"),
+    "kw27-name": (dict(name=" padded"), "name"),
+    "kw28-duration_s": (dict(duration_s=4.05), "duration_s"),
+    "kw29-duration_s": (dict(duration_s=12.00001), "duration_s"),
+    "kw30-payload_bytes": (dict(payload_bytes=2305), "payload_bytes"),
+    "kw31-payload_bytes": (dict(payload_bytes=9000), "payload_bytes"),
+    "kw32-payload_bytes": (dict(payload_bytes=0), "payload_bytes"),
+    "kw33-defer_min_samples": (dict(defer_min_samples=0), "defer_min_samples"),
+    "kw34-defer_min_samples": (dict(defer_min_samples=-1), "defer_min_samples"),
+    "kw35-name": (dict(name="a,b"), "name"),
+    "kw36-cw_ceiling_override": (dict(cw_ceiling_override=4096), "cw_ceiling_override"),
+    "kw37-cw_ceiling_override": (dict(cw_floor_override=2048, cw_ceiling_override=4096),
+                                 "cw_ceiling_override"),
+    "kw38-static_cw": (dict(static_cw=2048, static_beb=True), "static_cw"),
+    "kw39-kp_override": (dict(kp_override=float("inf"), ki_override=5.0), "kp_override"),
+    "kw40-name": (dict(name='"q'), "name"),
+}
+
+
 class TestValidation:
-    @pytest.mark.parametrize("kw,field", [
-        (dict(controller="auto"), "controller"),
-        (dict(traffic="tcp"), "traffic"),
-        (dict(capture_mode="ber"), "capture_mode"),
-        (dict(replications=0), "replications"),
-        (dict(duration_s=0.5), "duration_s"),
-        (dict(snr_db=(float("inf"), 30.0)), "snr_db"),
-        (dict(hidden_pairs=((1, 4),)), "hidden_pairs"),
-        (dict(hidden_pairs=((2, 2),)), "hidden_pairs"),
-        (dict(hidden_from_ap=(9,)), "hidden_from_ap"),
-        (dict(station_add_order="random"), "station_add_order"),
-        (dict(snr_jitter_db=-1.0), "snr_jitter_db"),
-        (dict(traffic="onoff", burst_bytes=100), "burst_bytes"),
-        (dict(duration_s=float("nan")), "duration_s"),
-        (dict(duration_s=float("inf")), "duration_s"),
-        (dict(capture_threshold_db=float("nan")), "capture_threshold_db"),
-        (dict(capture_threshold_db=0.0), "capture_threshold_db"),
-        (dict(cw_floor_override=-8), "cw_floor_override"),
-        (dict(cw_floor_override=0), "cw_floor_override"),
-        (dict(cw_floor_override=24), "cw_floor_override"),
-        (dict(cw_floor_override=2048), "cw_floor_override"),
-        (dict(cw_ceiling_override=8), "cw_ceiling_override"),
-        (dict(cw_floor_override=64, cw_ceiling_override=64), "cw_floor_override"),
-        (dict(kp_override=5.0), "ki_override"),
-        (dict(ki_override=5.0), "kp_override"),
-        (dict(kp_override=-5.0, ki_override=5.0), "kp_override"),
-        (dict(name="a#b"), "name"),
-        (dict(name="two\nlines"), "name"),
-        (dict(name=" padded"), "name"),
-        (dict(duration_s=4.05), "duration_s"),
-        (dict(duration_s=12.00001), "duration_s"),
-        (dict(payload_bytes=2305), "payload_bytes"),
-        (dict(payload_bytes=9000), "payload_bytes"),
-        (dict(payload_bytes=0), "payload_bytes"),
-        (dict(defer_min_samples=0), "defer_min_samples"),
-        (dict(defer_min_samples=-1), "defer_min_samples"),
-        (dict(name="a,b"), "name"),
-        (dict(cw_ceiling_override=4096), "cw_ceiling_override"),
-        (dict(cw_floor_override=2048, cw_ceiling_override=4096), "cw_ceiling_override"),
-        (dict(static_cw=2048, static_beb=True), "static_cw"),
-        (dict(kp_override=float("inf"), ki_override=5.0), "kp_override"),
-        (dict(name='"q'), "name"),
-    ])
+    @pytest.mark.parametrize("kw,field", _FIELD_ERRORS.values(),
+                             ids=list(_FIELD_ERRORS))
     def test_field_errors(self, kw, field):
         # a Scenario is checked when it is built
         with pytest.raises(ConfigError) as err:
