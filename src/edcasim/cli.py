@@ -36,15 +36,20 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **changes)
 
 
+def _open_for_writing(path: str):
+    """Open a CSV file for writing, creating its directory if need be."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def cmd_run(args) -> int:
     scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
     trace_fh = None
     slot_log = None
     if args.slot_trace:
-        parent = os.path.dirname(args.slot_trace)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        trace_fh = open(args.slot_trace, "w", encoding="utf-8", newline="\n")
+        trace_fh = _open_for_writing(args.slot_trace)
         slot_log = slot_trace_writer(trace_fh)
 
     try:
@@ -87,7 +92,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     profile = get_profile(args.profile)
-    out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else sys.stdout
+    out = _open_for_writing(args.out) if args.out else sys.stdout
     try:
         out.write("n,cw_min,tau,p,throughput_mbps\n")
         for n in args.n:

@@ -53,22 +53,22 @@ class RunResult:
     @classmethod
     def from_stations(cls, stations: list[Station], records: list[IntervalRecord],
                       duration_us: int) -> RunResult:
-        """Whole-run totals read off the stations' accounting."""
-        thr = {s.id: 8.0 * s.delivered_bytes / duration_us for s in stations}
+        """Whole-run totals read off the stations' counters."""
+        delivered = {s.id: s.successes * s.payload_bytes for s in stations}
+        thr = {i: 8.0 * b / duration_us for i, b in delivered.items()}
         return cls(
             duration_us=duration_us,
-            delivered_bytes={s.id: s.delivered_bytes for s in stations},
+            delivered_bytes=delivered,
             throughput_mbps=thr,
             total_mbps=sum(thr.values()),
             records=records,
             transfer_delays_us={s.id: list(s.traffic.transfer_delays_us)
                                 for s in stations},
-            drops={s.id: s.frames_dropped_retry for s in stations},
-            attempts={s.id: s.attempts_resolved for s in stations},
-            successes={s.id: s.counters.successes_cumulative for s in stations},
-            retries={s.id: s.counters.failures_cumulative for s in stations},
-            sniffed_flags={s.id: (s.counters.r0_total, s.counters.r1_total)
-                           for s in stations},
+            drops={s.id: s.drops for s in stations},
+            attempts={s.id: s.attempts for s in stations},
+            successes={s.id: s.successes for s in stations},
+            retries={s.id: s.retries for s in stations},
+            sniffed_flags={s.id: tuple(s.sniffed) for s in stations},
             snr_db={s.id: s.snr_db for s in stations},
         )
 
@@ -82,7 +82,8 @@ CONTROLLERS = ("cac", "dac", "edca-static")
 
 class ControlPlane:
     """Closes the control loop once per beacon and keeps what it reads and
-    writes: the AP's counters (`ap`) and the run's trace records (`records`).
+    writes: the AP's interval tally (`ap`), each station's counters as read
+    at the last beacon (`marks`), and the run's trace records (`records`).
 
     mode "cac": one controller at the AP, window broadcast to every station.
     mode "dac": one controller per station, committed locally.
@@ -108,6 +109,8 @@ class ControlPlane:
             if mode == "dac" else {})
         self.cw_cap_hits = 0   # announced/committed window pinned at a bound
         self.ap = BeaconCounters()   # the AP's decoded frames, fed by the engine
+        # station id -> its (successes, retries, drops) at the last beacon
+        self.marks = dict.fromkeys(station_ids, (0, 0, 0))
         self.records: list[IntervalRecord] = []
         self._names = {i: f"sta{i}" for i in station_ids}   # trace node names
 
@@ -116,21 +119,23 @@ class ControlPlane:
         return new.prev_error if new is not old else None
 
     def beacon_update(self, t_ms: int, stations: list[Station], heard) -> None:
-        """Close the interval: credit each station's sniffed tallies, step the
-        controllers on the interval's estimates, commit their windows, roll
-        the counters, and append the interval's records to `records`: the
+        """Close the interval: take each station's gains since the last
+        beacon, step the controllers on the interval's estimates, commit
+        their windows, and append the interval's records to `records`: the
         AP's, then one per station in `stations` order.
 
         `heard` yields each station's vantage tally, `(r0, r1)` in `stations`
-        order; a station is credited with it less its `missed`, which is
-        then zeroed. Each station takes one pass: its credit, its estimates,
-        its roll, its step, its commit and its record. A station's estimates
-        read only its own counters, so rolling it inside the pass is exact."""
+        order; a station's sniffer heard it less its `missed`, which is then
+        zeroed, and `sniffed` gains what it heard. Its counter gains are
+        taken against `marks`, which then hold the new reading. Each station
+        takes one pass: its gains, its estimates, its step, its commit and
+        its record."""
         min_samples, max_retry, p_opt = self.min_samples, self.profile.max_retry, self.p_opt
-        names, states, records = self._names, self.dac_states, self.records
+        names, states, marks, records = self._names, self.dac_states, self.marks, self.records
         dac = self.mode == "dac"
-        ap_p_obs = estimate_p_obs(self.ap, min_samples)
-        self.ap.roll_interval()
+        ap = self.ap
+        ap_p_obs = estimate_p_obs(ap.r0, ap.r1, min_samples)
+        ap.roll_interval()
         announced = None
         if self.mode == "cac":
             old = self.cac_state
@@ -145,12 +150,17 @@ class ControlPlane:
             records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
 
         for s, (r0, r1) in zip(stations, heard):
-            counters, missed = s.counters, s.missed
-            counters.credit(r0 - missed[0], r1 - missed[1])
+            missed, sniffed = s.missed, s.sniffed
+            r0 -= missed[0]
+            r1 -= missed[1]
             missed[0] = missed[1] = 0
-            p_obs = estimate_p_obs(counters, min_samples)
-            p_own = estimate_p_own(counters, max_retry, s.dropped_this_interval)
-            s.roll_interval()
+            sniffed[0] += r0
+            sniffed[1] += r1
+            p_obs = estimate_p_obs(r0, r1, min_samples)
+            ok0, retried0, dropped0 = marks[s.id]
+            ok, retried, dropped = marks[s.id] = s.successes, s.retries, s.drops
+            p_own = estimate_p_own(ok - ok0, retried - retried0, dropped - dropped0,
+                                   max_retry)
             if dac:
                 old = states[s.id]
                 states[s.id] = new = dac_step(p_obs, p_own, old, p_opt)
@@ -185,7 +195,7 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     Every station that does not transmit sniffs exactly the frames the AP
     decodes, so `run_slot` notes only the AP's gains during a station's own
     transmit events (`Station.missed`), and at each beacon the control
-    plane credits every station with the AP's tally less those. So a
+    plane takes every station's sniffed tally as the AP's less those. So a
     channel event costs O(transmitters) for both traffic kinds; only the
     set-up, the beacons and the end visit every station.
 

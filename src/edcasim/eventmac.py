@@ -24,7 +24,8 @@ at all of them. Each event therefore touches only the classes that hear it:
   ends with the clock's.
 - A class keeps one tally of the data frames it heard cleanly. A source
   notes its own frames in that tally as `Station.missed`, and at the beacon
-  the control plane credits each station with its class's tally, less those.
+  the control plane takes each station's sniffed tally as its class's, less
+  those.
 
 A pending start is not a heap entry: each class tables its clock's earliest
 start, and each lone station its own, and the main loop orders them against
@@ -327,7 +328,7 @@ class EventEngine:
                 del self._starts[c]
         st = self.stations[i]
         st.note_attempt()
-        tx = _Tx(i, t, t + self._airtime[i], "data", st.snr_db, st.retry_count > 0)
+        tx = _Tx(i, t, t + self._airtime[i], "data", st.snr_db, st.retry_flag)
         self._begin_tx(tx)
         self._then(tx.end, _P_END, EventEngine._on_data_end, tx)
 

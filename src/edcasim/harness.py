@@ -123,9 +123,33 @@ def run_experiment(scenario: Scenario, jobs: int = 1,
     return ExperimentResult(scenario=scenario, runs=runs)
 
 
-# Sweep axis -> parser of its values; `sweep` applies it to every value.
-SWEEP_AXES = {"n_stations": int, "capture_threshold": float, "lambda": float,
-              "controller": str}
+def _station_point(base: Scenario, value: int) -> Scenario:
+    # Hidden fields name stations by number, and re-sorting the links would
+    # give those numbers to other stations.
+    for field in ("hidden_pairs", "hidden_from_ap", "hidden_links"):
+        if getattr(base, field):
+            raise ConfigError(field, "an n_stations sweep needs a fully "
+                              "connected base scenario")
+    if not 1 <= value <= base.n_stations:
+        raise ConfigError("values", f"n_stations {value} outside 1..{base.n_stations}")
+    ordered = sorted(base.snr_db)  # ascending link quality
+    if base.station_add_order == "descending":
+        ordered = ordered[::-1]
+    return replace(base, snr_db=tuple(ordered[:value]), name=f"{base.name}/n{value}")
+
+
+# Sweep axis -> (parser of its values, builder of the point for one value).
+SWEEP_AXES = {
+    "n_stations": (int, _station_point),
+    "capture_threshold": (float, lambda base, v: replace(
+        base, capture_mode="threshold", capture_threshold_db=v,
+        name=f"{base.name}/thr{v}")),
+    # The value is the mean silent time (1/lambda) in seconds.
+    "lambda": (float, lambda base, v: replace(
+        base, traffic="onoff", silent_mean_s=v, name=f"{base.name}/silent{v}")),
+    "controller": (str, lambda base, v: replace(
+        base, controller=v, name=f"{base.name}/{v}")),
+}
 
 
 def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
@@ -140,44 +164,16 @@ def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
                           f"known: {tuple(SWEEP_AXES)}")
     if not values:
         raise ConfigError("values", "empty sweep values")
+    parse, point = SWEEP_AXES[axis]
     parsed = []
     for v in values:
         try:
-            parsed.append(SWEEP_AXES[axis](v))
+            parsed.append(parse(v))
         except (TypeError, ValueError):
             raise ConfigError("values", f"bad {axis} value {v!r}") from None
     # Building a point validates it, so every point is checked before any runs.
-    scenarios = [_apply_axis(base, axis, v) for v in parsed]
+    scenarios = [point(base, v) for v in parsed]
     return [(v, run_experiment(sc, jobs=jobs)) for v, sc in zip(parsed, scenarios)]
-
-
-def _apply_axis(base: Scenario, axis: str, value) -> Scenario:
-    if axis == "n_stations":
-        # Hidden fields name stations by number, and re-sorting the links
-        # would give those numbers to other stations.
-        for field in ("hidden_pairs", "hidden_from_ap", "hidden_links"):
-            if getattr(base, field):
-                raise ConfigError(field, "an n_stations sweep needs a fully "
-                                  "connected base scenario")
-        if not 1 <= value <= base.n_stations:
-            raise ConfigError("values",
-                              f"n_stations {value} outside 1..{base.n_stations}")
-        ordered = sorted(base.snr_db)  # ascending link quality
-        if base.station_add_order == "descending":
-            ordered = ordered[::-1]
-        return replace(base, snr_db=tuple(ordered[:value]),
-                       name=f"{base.name}/n{value}")
-    if axis == "capture_threshold":
-        return replace(base, capture_mode="threshold",
-                       capture_threshold_db=value,
-                       name=f"{base.name}/thr{value}")
-    if axis == "lambda":
-        # Value is the mean silent time (1/lambda) in seconds.
-        return replace(base, traffic="onoff", silent_mean_s=value,
-                       name=f"{base.name}/silent{value}")
-    if axis == "controller":
-        return replace(base, controller=value, name=f"{base.name}/{value}")
-    raise AssertionError(axis)
 
 
 # -- output emission ----------------------------------------------------------

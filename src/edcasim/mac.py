@@ -47,15 +47,14 @@ class CaptureModel:
         return self.mode == "threshold" and snr_db - rival_snr_db >= self.threshold_db
 
 
-def resolve_capture(snr_by_station: dict[int, float],
-                    capture: CaptureModel) -> int | None:
+def resolve_capture(transmitters: list[Station],
+                    capture: CaptureModel) -> Station | None:
     """Pick the station whose frame survives an overlap of two or more, if any.
 
     The threshold rule is deterministic; ties need no randomness (no winner).
     """
-    ranked = sorted(snr_by_station.items(), key=lambda kv: (-kv[1], kv[0]))
-    (best_id, best_snr), (_, second_snr) = ranked[0], ranked[1]
-    return best_id if capture.captures(best_snr, second_snr) else None
+    best, second = sorted(transmitters, key=lambda s: (-s.snr_db, s.id))[:2]
+    return best if capture.captures(best.snr_db, second.snr_db) else None
 
 
 TRAFFIC_KINDS = ("saturated", "onoff")
@@ -121,17 +120,19 @@ class Station:
         self.retry_count = 0
         self.backlogged = traffic.kind == "saturated"
         self.backoff_counter = 0
-        # Sniffer + driver-style counters (one vantage point per station).
-        self.counters = BeaconCounters()
-        # (r0, r1) of the frames in this vantage's tally that its sniffer
-        # did not hear this interval; the beacon update subtracts them.
-        self.missed = [0, 0]
-        self.dropped_this_interval = 0
-        # Whole-run accounting over *resolved* frames.
-        self.frames_dropped_retry = 0
-        self.attempts_resolved = 0
-        self.delivered_bytes = 0
+        # Whole-run counters that only grow, as a driver's do: acked frames,
+        # retransmission attempts, retry-limit drops, and the attempts of
+        # resolved frames.
+        self.successes = 0
+        self.retries = 0
+        self.drops = 0
+        self.attempts = 0
         self._frame_attempts = 0
+        # (r0, r1) of the frames this station's sniffer heard over the run,
+        # and of the frames in this vantage's tally that it did not hear this
+        # interval; the beacon update subtracts the latter.
+        self.sniffed = [0, 0]
+        self.missed = [0, 0]
         if self.backlogged:
             self.draw_backoff()
 
@@ -156,12 +157,10 @@ class Station:
     def note_attempt(self) -> None:
         self._frame_attempts += 1
         if self.retry_count:
-            self.counters.failures_cumulative += 1   # driver retry counter
+            self.retries += 1
 
     def resolve_success(self, now_us: int) -> None:
-        self.counters.successes_cumulative += 1
-        self.attempts_resolved += self._frame_attempts
-        self.delivered_bytes += self.payload_bytes
+        self.successes += 1
         self._finish_frame(now_us)
 
     def resolve_failure(self, now_us: int) -> None:
@@ -170,12 +169,11 @@ class Station:
         if self.retry_count <= self.profile.max_retry:
             self.draw_backoff()
             return
-        self.dropped_this_interval += 1
-        self.frames_dropped_retry += 1
-        self.attempts_resolved += self._frame_attempts
+        self.drops += 1
         self._finish_frame(now_us)
 
     def _finish_frame(self, now_us: int) -> None:
+        self.attempts += self._frame_attempts
         self.retry_count = 0
         self._frame_attempts = 0
         if self.traffic.consume_frame(now_us):
@@ -188,10 +186,6 @@ class Station:
         self.traffic.activate()
         self.backlogged = True
         self.draw_backoff()
-
-    def roll_interval(self) -> None:
-        self.counters.roll_interval()
-        self.dropped_this_interval = 0
 
 
 def run_slot(transmitters: list[Station], capture: CaptureModel,
@@ -214,8 +208,7 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
     if len(transmitters) == 1:
         winner = transmitters[0]
     else:
-        winner_id = resolve_capture({s.id: s.snr_db for s in transmitters}, capture)
-        winner = next((s for s in transmitters if s.id == winner_id), None)
+        winner = resolve_capture(transmitters, capture)
 
     if winner is None:
         busy_us = max(s.collision_us for s in transmitters)

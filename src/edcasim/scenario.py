@@ -233,6 +233,8 @@ _FORMAT = {
         "'a-b' pairs separated by ';'"),
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+# Every key a config file may set: the fields and the `stations` shorthand.
+_KEY_TYPES = {**_FIELD_TYPES, "stations": "int"}
 
 
 def _parse_value(name: str, raw: str, type_name: str):
@@ -245,7 +247,6 @@ def _parse_value(name: str, raw: str, type_name: str):
 
 def parse_scenario(text: str) -> Scenario:
     values = {}
-    n_stations_hint = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -253,21 +254,22 @@ def parse_scenario(text: str) -> Scenario:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key == "stations":
-            n_stations_hint = _parse_value(key, raw, "int")
-        elif key in _FIELD_TYPES:
-            values[key] = _parse_value(key, raw, _FIELD_TYPES[key])
-        else:
+        if key not in _KEY_TYPES:
             raise ConfigError(key, "unknown configuration key")
+        if key in values:
+            raise ConfigError(key, f"given twice (again on line {lineno})")
+        values[key] = _parse_value(key, raw, _KEY_TYPES[key])
     if "snr_db" not in values:
         raise ConfigError("snr_db", "missing required key")
-    if n_stations_hint is not None:
+    n = values.pop("stations", None)
+    if n is not None:
         snr = values["snr_db"]
+        if n < 1:
+            raise ConfigError("stations", f"must be >= 1, got {n}")
         if len(snr) == 1:
-            values["snr_db"] = snr * n_stations_hint
-        elif len(snr) != n_stations_hint:
-            raise ConfigError("stations",
-                              f"stations = {n_stations_hint} but {len(snr)} SNR values given")
+            values["snr_db"] = snr * n
+        elif len(snr) != n:
+            raise ConfigError("stations", f"stations = {n} but {len(snr)} SNR values given")
     return Scenario(**values)
 
 

@@ -8,6 +8,7 @@ import dataclasses
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -238,7 +239,7 @@ def test_c08_network_size_sweep():
 
 
 def test_c09_estimator_convergence():
-    from edcasim.estimators import BeaconCounters, estimate_p_obs, estimate_p_own
+    from edcasim.estimators import estimate_p_obs, estimate_p_own
 
     n, cw = 10, 64
     predicted = solve_fixed_point(n, cw, PROFILE.m_backoff_stages,
@@ -250,12 +251,9 @@ def test_c09_estimator_convergence():
     # Feed the estimators the whole-run tallies (>= 1e5 samples each).
     r0 = sum(run.sniffed_flags[i][0] for i in run.station_ids)
     r1 = sum(run.sniffed_flags[i][1] for i in run.station_ids)
-    p_obs = estimate_p_obs(BeaconCounters(r0=r0, r1=r1))
-    own = BeaconCounters(
-        successes_cumulative=sum(run.successes.values()),
-        failures_cumulative=sum(run.retries.values()))
-    p_own = estimate_p_own(own, PROFILE.max_retry,
-                           dropped_this_interval=sum(run.drops.values()))
+    p_obs = estimate_p_obs(r0, r1)
+    p_own = estimate_p_own(sum(run.successes.values()), sum(run.retries.values()),
+                           sum(run.drops.values()), PROFILE.max_retry)
     samples = r0 + r1
     ok = samples >= 100_000 \
         and abs(p_obs - predicted) <= 0.01 \
@@ -336,7 +334,7 @@ def test_c11_determinism(tmp_path):
     b = emit_outputs(run_experiment(preset), str(tmp_path / "b"))
     same = {}
     for name in ("summary.csv", "trace.csv"):
-        same[name] = open(a[name], "rb").read() == open(b[name], "rb").read()
+        same[name] = Path(a[name]).read_bytes() == Path(b[name]).read_bytes()
     ok = all(same.values())
     assert report("11 (determinism)", ok,
                   f"byte-identical re-runs: {same}")

@@ -9,7 +9,7 @@ from edcasim.controllers import (ControllerState, OptimalPoint, PiGains, cac_err
                                  cac_step, compute_gains, compute_p_opt, dac_error,
                                  dac_step, initial_state, pi_update, quantize_cw)
 from edcasim.engine import CONTROLLERS, ControlPlane, IntervalRecord, run_slotted
-from edcasim.estimators import BeaconCounters, estimate_p_obs, estimate_p_own
+from edcasim.estimators import estimate_p_obs, estimate_p_own
 from edcasim.harness import _build_stations
 from edcasim.mac import CaptureModel, Station, TrafficSource, effective_cw_max
 from edcasim.phy import PROFILE_80211A_24, PhyProfile
@@ -252,25 +252,24 @@ class TestSteps:
 
     def test_cac_defer_rebroadcasts(self):
         state = make_state(cw_real=128.0)
-        p_obs = estimate_p_obs(BeaconCounters(r0=5, r1=1))
+        p_obs = estimate_p_obs(5, 1)
         assert p_obs is None
         new, cw = cac_step(p_obs, state, self.P_OPT)
         assert new is state and cw == 128
 
     def test_cac_cold_start_rises_under_collisions(self):
         state = initial_state(PiGains(25.3, 14.9), 16, 1024)
-        counters = BeaconCounters(r0=50, r1=50)   # p_obs = 0.5 >> p_opt
-        new, cw = cac_step(estimate_p_obs(counters), state, self.P_OPT)
+        # p_obs = 0.5 >> p_opt
+        new, cw = cac_step(estimate_p_obs(50, 50), state, self.P_OPT)
         assert new.cw_real > state.cw_real
         assert cw >= state.cw_quantized
 
     def test_dac_defer_on_missing_own_samples(self):
         state = make_state(cw_real=64.0)
         # plenty of sniffed frames but no own attempts
-        counters = BeaconCounters(r0=80, r1=20)
-        p_own = estimate_p_own(counters, max_retry=7)
+        p_own = estimate_p_own(0, 0, 0, max_retry=7)
         assert p_own is None
-        new = dac_step(estimate_p_obs(counters), p_own, state, self.P_OPT)
+        new = dac_step(estimate_p_obs(80, 20), p_own, state, self.P_OPT)
         assert new is state
 
     def test_dac_station_alone_decays_to_floor(self):
@@ -279,10 +278,8 @@ class TestSteps:
         # at the floor, and with sniffable peers at zero collisions it decays.
         state = initial_state(PiGains(25.3, 14.9), 16, 1024)
         for _ in range(10):
-            counters = BeaconCounters(r0=100, r1=0,
-                                      successes_cumulative=100)
-            state = dac_step(estimate_p_obs(counters),
-                             estimate_p_own(counters, max_retry=7),
+            state = dac_step(estimate_p_obs(100, 0),
+                             estimate_p_own(100, 0, 0, max_retry=7),
                              state, self.P_OPT)
             assert state.cw_real == 16.0 and state.cw_quantized == 16
 
@@ -312,6 +309,42 @@ class TestControlPlaneSettings:
         assert plane.dac_states == {}
 
 
+class TestIntervalGains:
+    """The control plane takes each station's counter gains since the last
+    beacon against the reading it marked then; the station only counts."""
+
+    @staticmethod
+    def plane_and_station():
+        sc = Scenario(snr_db=(30.0,), controller="edca-static")
+        station = Station(1, 30.0, sc.phy(), random.Random(1),
+                          TrafficSource("saturated", 1500), 16)
+        return ControlPlane(sc, [1]), station
+
+    def test_interval_deltas(self):
+        plane, station = self.plane_and_station()
+        for t_ms, (ok, retries) in ((100, (60, 15)), (200, (40, 5))):
+            station.successes += ok
+            station.retries += retries
+            plane.beacon_update(t_ms, [station], [(0, 0)])
+        first, second = plane.records[1], plane.records[3]
+        assert first.p_own == pytest.approx(15 / 75)
+        # T = 40, F = 5
+        assert second.p_own == pytest.approx(5 / 45)
+
+    def test_marks_hold_the_last_reading(self):
+        plane, station = self.plane_and_station()
+        assert plane.marks == {1: (0, 0, 0)}
+        station.successes, station.retries, station.drops = 10, 11, 1
+        plane.beacon_update(100, [station], [(0, 0)])
+        assert plane.marks == {1: (10, 11, 1)}
+        # F = 11 - 7 for the drop, T = 10
+        assert plane.records[-1].p_own == pytest.approx(4 / 14)
+        # no gains: nothing to estimate from, and the whole-run counters stand
+        plane.beacon_update(200, [station], [(0, 0)])
+        assert plane.records[-1].p_own is None
+        assert (station.successes, station.retries, station.drops) == (10, 11, 1)
+
+
 class TestWindowBoundHits:
     @pytest.mark.parametrize("controller,hits", [("cac", 20), ("dac", 80)])
     def test_every_step_at_a_bound_counts(self, controller, hits):
@@ -328,16 +361,22 @@ class TestWindowBoundHits:
 
 
 def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Station],
-                            heard) -> None:
-    """Reference for `ControlPlane.beacon_update`: every station credited in
-    a walk of its own, then stepped through the public estimators and
-    controller steps, every window committed, and the counters rolled in a
-    last loop."""
+                            heard, gains) -> None:
+    """Reference for `ControlPlane.beacon_update`: every station's sniffed
+    tally credited in a walk of its own, then stepped through the public
+    estimators and controller steps, and every window committed. `p_own`
+    reads `gains`, each station's drawn (successes, retries, drops) for the
+    interval, not the plane's marks, so the plane's delta-taking is checked
+    on its own."""
+    tallies = []
     for s, (r0, r1) in zip(stations, heard):
-        s.counters.credit(r0 - s.missed[0], r1 - s.missed[1])
+        r0, r1 = r0 - s.missed[0], r1 - s.missed[1]
         s.missed[0] = s.missed[1] = 0
+        s.sniffed[0] += r0
+        s.sniffed[1] += r1
+        tallies.append((r0, r1))
     records = plane.records
-    ap_p_obs = estimate_p_obs(plane.ap, plane.min_samples)
+    ap_p_obs = estimate_p_obs(plane.ap.r0, plane.ap.r1, plane.min_samples)
     if plane.mode == "cac":
         old = plane.cac_state
         plane.cac_state, announced = cac_step(ap_p_obs, old, plane.p_opt)
@@ -350,10 +389,9 @@ def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Stati
                                       plane.cac_state.cw_real, announced))
     else:
         records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
-    for s in stations:
-        p_obs = estimate_p_obs(s.counters, plane.min_samples)
-        p_own = estimate_p_own(s.counters, plane.profile.max_retry,
-                               s.dropped_this_interval)
+    for s, (r0, r1), (ok, retries, drops) in zip(stations, tallies, gains):
+        p_obs = estimate_p_obs(r0, r1, plane.min_samples)
+        p_own = estimate_p_own(ok, retries, drops, plane.profile.max_retry)
         if plane.mode == "dac":
             old = plane.dac_states[s.id]
             new = dac_step(p_obs, p_own, old, plane.p_opt)
@@ -368,8 +406,6 @@ def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Stati
             records.append(IntervalRecord(t_ms, f"sta{s.id}", p_obs, p_own, None,
                                           None, s.cw_min_current))
     plane.ap.roll_interval()
-    for s in stations:
-        s.roll_interval()
 
 
 _POW2 = [1 << k for k in range(11)]   # 1..1024, up to the PHY's window ceiling
@@ -413,14 +449,14 @@ def beacon_runs(draw):
 
 
 def _counter_state(s: Station):
-    return (dataclasses.astuple(s.counters), s.missed, s.dropped_this_interval,
+    return (s.successes, s.retries, s.drops, s.attempts, s.sniffed, s.missed,
             s.cw_min_current, s.cw_max)
 
 
 class TestFusedBeaconPass:
-    """`beacon_update` credits, steps, commits, records and rolls each
-    station in one pass; it must equal the plain update after a walk of its
-    own to credit the sniffed tallies."""
+    """`beacon_update` takes each station's gains, steps, commits and
+    records it in one pass; it must equal the plain update after a walk of
+    its own to credit the sniffed tallies, fed the drawn counter gains."""
 
     @settings(max_examples=80, deadline=None)
     @given(beacon_runs())
@@ -433,27 +469,30 @@ class TestFusedBeaconPass:
                                 TrafficSource("saturated", 1500), cw, beb)
                         for i, (cw, beb) in enumerate(zip(run["windows"], run["bebs"]), 1)]
             sides.append((ControlPlane(sc, [s.id for s in stations]), stations))
+        (fused, fused_stations), (reference, reference_stations) = sides
         for k, ((ap_r0, ap_r1), gains) in enumerate(run["intervals"], 1):
-            for (plane, stations), update in zip(
-                    sides, (ControlPlane.beacon_update, _two_pass_beacon_update)):
+            heard = [g[:2] for g in gains]
+            for plane, stations in sides:
                 plane.ap.r0, plane.ap.r1 = ap_r0, ap_r1
                 for s, (_, _, m0, m1, ok, retries, drops) in zip(stations, gains):
                     s.missed[0] += m0
                     s.missed[1] += m1
-                    s.counters.successes_cumulative += ok
-                    s.counters.failures_cumulative += retries
-                    s.dropped_this_interval = drops
-                update(plane, 100 * k, stations, [g[:2] for g in gains])
-            (fused, fused_stations), (reference, reference_stations) = sides
+                    s.successes += ok
+                    s.retries += retries
+                    s.drops += drops
+            fused.beacon_update(100 * k, fused_stations, heard)
+            _two_pass_beacon_update(reference, 100 * k, reference_stations, heard,
+                                    [g[4:] for g in gains])
             assert fused.records == reference.records
             assert len(fused.records) == k * (len(fused_stations) + 1)
             assert fused.cw_cap_hits == reference.cw_cap_hits
             assert fused.cac_state == reference.cac_state
             assert fused.dac_states == reference.dac_states
             assert dataclasses.astuple(fused.ap) == dataclasses.astuple(reference.ap)
+            assert fused.marks == {s.id: (s.successes, s.retries, s.drops)
+                                   for s in fused_stations}
             for s, ref in zip(fused_stations, reference_stations):
                 assert _counter_state(s) == _counter_state(ref)
-                assert s.counters.r0 == s.counters.r1 == s.dropped_this_interval == 0
                 assert s.missed == [0, 0]
                 assert s.cw_max == (effective_cw_max(s.cw_min_current,
                                                      profile.m_backoff_stages,

@@ -7,83 +7,70 @@ from edcasim.estimators import BeaconCounters, estimate_p_obs, estimate_p_own
 
 class TestPObs:
     def test_direct_ratio(self):
-        assert estimate_p_obs(BeaconCounters(r0=84, r1=16)) == pytest.approx(0.16)
+        assert estimate_p_obs(84, 16) == pytest.approx(0.16)
 
     def test_defers_below_sample_floor(self):
-        assert estimate_p_obs(BeaconCounters(r0=10, r1=2)) is None
+        assert estimate_p_obs(10, 2) is None
 
     def test_defers_with_no_samples(self):
-        assert estimate_p_obs(BeaconCounters()) is None
+        assert estimate_p_obs(0, 0) is None
 
     def test_threshold_boundary(self):
-        assert estimate_p_obs(BeaconCounters(r0=19, r1=0)) is None
-        assert estimate_p_obs(BeaconCounters(r0=20, r1=0)) == 0.0
+        assert estimate_p_obs(19, 0) is None
+        assert estimate_p_obs(20, 0) == 0.0
 
     def test_scale_free(self):
-        a = estimate_p_obs(BeaconCounters(r0=30, r1=10))
-        b = estimate_p_obs(BeaconCounters(r0=300, r1=100))
+        a = estimate_p_obs(30, 10)
+        b = estimate_p_obs(300, 100)
         assert a == pytest.approx(b)
 
 
 class TestPOwn:
     def test_direct_ratio(self):
-        c = BeaconCounters(successes_cumulative=45, failures_cumulative=5)
-        assert estimate_p_own(c, max_retry=7) == pytest.approx(0.10)
+        assert estimate_p_own(45, 5, 0, max_retry=7) == pytest.approx(0.10)
 
     def test_defers_on_zero_attempts(self):
-        assert estimate_p_own(BeaconCounters(), max_retry=7) is None
-
-    def test_interval_deltas(self):
-        c = BeaconCounters(successes_cumulative=100, failures_cumulative=20,
-                           prev_successes=60, prev_failures=15)
-        # T = 40, F = 5
-        assert estimate_p_own(c, max_retry=7) == pytest.approx(5 / 45)
+        assert estimate_p_own(0, 0, 0, max_retry=7) is None
 
     def test_dropped_frames_removed_from_failures(self):
         # one dropped frame contributed max_retry retries this interval
-        c = BeaconCounters(successes_cumulative=40, failures_cumulative=12)
-        assert estimate_p_own(c, max_retry=7, dropped_this_interval=1) \
-            == pytest.approx(5 / 45)
+        assert estimate_p_own(40, 12, 1, max_retry=7) == pytest.approx(5 / 45)
 
     def test_corrupt_counters_rejected(self):
-        c = BeaconCounters(successes_cumulative=10, prev_successes=20)
-        with pytest.raises(ValueError):
-            estimate_p_own(c, max_retry=7)
+        # a negative gain means a counter went backwards
+        for gains in ((-10, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(ValueError):
+                estimate_p_own(*gains, max_retry=7)
 
     def test_scale_free(self):
-        a = estimate_p_own(BeaconCounters(successes_cumulative=90,
-                                          failures_cumulative=10), 7)
-        b = estimate_p_own(BeaconCounters(successes_cumulative=900,
-                                          failures_cumulative=100), 7)
+        a = estimate_p_own(90, 10, 0, 7)
+        b = estimate_p_own(900, 100, 0, 7)
         assert a == pytest.approx(b)
 
     def test_converges_on_geometric_retry_process(self):
         # Attempts fail independently with p = 0.2; frames retry up to 7 times.
         rng = random.Random(2024)
         p, max_retry = 0.2, 7
-        c = BeaconCounters()
-        drops = 0
+        successes = retries = drops = 0
         for _ in range(100_000):
             for attempt in range(max_retry + 1):
                 failed = rng.random() < p
                 if attempt > 0:
-                    c.failures_cumulative += 1
+                    retries += 1
                 if not failed:
-                    c.successes_cumulative += 1
+                    successes += 1
                     break
             else:
                 drops += 1
-        est = estimate_p_own(c, max_retry, dropped_this_interval=drops)
+        est = estimate_p_own(successes, retries, drops, max_retry)
         assert est == pytest.approx(p, abs=0.01)
 
 
 class TestRollInterval:
-    def test_flag_counts_reset_cumulatives_marked(self):
-        c = BeaconCounters(r0=5, r1=3, successes_cumulative=10,
-                           failures_cumulative=4)
+    def test_flag_counts_reset(self):
+        c = BeaconCounters(r0=5, r1=3)
         c.roll_interval()
         assert (c.r0, c.r1) == (0, 0)
-        assert c.prev_successes == 10 and c.prev_failures == 4
 
     def test_observe_frame(self):
         c = BeaconCounters()

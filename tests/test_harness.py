@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -219,10 +220,10 @@ class TestOutputs:
         sc = tiny_scenario()
         res = run_experiment(sc)
         paths = emit_outputs(res, str(tmp_path))
-        summary = open(paths["summary.csv"]).read().splitlines()
+        summary = Path(paths["summary.csv"]).read_text().splitlines()
         assert summary[0] == SUMMARY_HEADER
         assert len(summary) == 1 + sc.replications * sc.n_stations
-        trace = open(paths["trace.csv"]).read().splitlines()
+        trace = Path(paths["trace.csv"]).read_text().splitlines()
         assert trace[0] == TRACE_HEADER
         intervals = sc.duration_us // sc.phy().beacon_interval
         assert len(trace) == 1 + intervals * (sc.n_stations + 1)
@@ -233,13 +234,14 @@ class TestOutputs:
         locked = load_scenario(first["scenario.lock"])
         assert locked == sc
         second = emit_outputs(run_experiment(locked), str(tmp_path / "b"))
-        assert open(first["summary.csv"]).read() == open(second["summary.csv"]).read()
+        assert Path(first["summary.csv"]).read_text() \
+            == Path(second["summary.csv"]).read_text()
 
     def test_summary_writes_the_simulated_snr(self, tmp_path):
         sc = tiny_scenario(snr_jitter_db=3.0)
         res = run_experiment(sc)
         rows = [line.split(",") for line in
-                open(emit_outputs(res, str(tmp_path))["summary.csv"]).read()
+                Path(emit_outputs(res, str(tmp_path))["summary.csv"]).read_text()
                 .splitlines()[1:]]
         assert len(rows) == sc.replications * sc.n_stations
         for _name, seed, sid, snr, *_ in rows:
@@ -250,7 +252,7 @@ class TestOutputs:
     def test_summary_snr_is_nominal_without_jitter(self, tmp_path):
         sc = tiny_scenario()
         res = run_experiment(sc)
-        rows = open(emit_outputs(res, str(tmp_path))["summary.csv"]).read()
+        rows = Path(emit_outputs(res, str(tmp_path))["summary.csv"]).read_text()
         snrs = [line.split(",")[3] for line in rows.splitlines()[1:]]
         assert snrs == [f"{x:.6f}" for x in sc.snr_db] * sc.replications
 
@@ -259,7 +261,7 @@ class TestOutputs:
         a = emit_outputs(run_experiment(sc), str(tmp_path / "x"))
         b = emit_outputs(run_experiment(sc), str(tmp_path / "y"))
         for name in ("summary.csv", "trace.csv", "scenario.lock"):
-            assert open(a[name], "rb").read() == open(b[name], "rb").read()
+            assert Path(a[name]).read_bytes() == Path(b[name]).read_bytes()
 
 
 class TestDelayExperiment:
@@ -350,10 +352,14 @@ class TestCli:
          "controller"),
         ("hidden_pairs = 1-2", ["sweep", "--base", "{cfg}", "--axis", "n_stations",
                                 "--values", "1", "2"], "hidden_pairs"),
+        ("controller = cac\ncontroller = dac", ["run", "{cfg}"], "controller"),
+        ("snr_db = 30", ["run", "{cfg}"], "snr_db"),
+        ("stations = 2\nstations = 2", ["run", "{cfg}"], "stations"),
     ], ids=["controller", "defer_min_samples_0", "defer_min_samples_negative",
             "name_comma", "cw_ceiling_override", "cw_floor_and_ceiling_above_phy",
             "static_cw_with_beb", "kp_override_inf", "sweep_controller",
-            "sweep_n_stations_hidden"])
+            "sweep_n_stations_hidden", "controller_twice", "snr_db_twice",
+            "stations_twice"])
     def test_config_error_exit_code(self, tmp_path, capsys, config, argv, field):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"snr_db = 30, 30\n{config}\n")
@@ -370,6 +376,11 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,cw_min,tau,p,throughput_mbps"
         assert len(lines) == 1 + 2 * 7   # two n values, 7 grid windows
+
+    def test_oracle_creates_the_out_directory(self, tmp_path):
+        out = tmp_path / "new" / "grid.csv"
+        assert cli_main(["oracle", "--n", "2", "--out", str(out)]) == 0
+        assert out.read_text().startswith("n,cw_min,tau,p,throughput_mbps\n")
 
     def test_presets_listing(self, capsys):
         assert cli_main(["presets", "--list"]) == 0

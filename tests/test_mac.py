@@ -39,27 +39,35 @@ def control_plane(controller, stations):
     return ControlPlane(sc, [s.id for s in stations])
 
 
+def capture_winner(snr_by_station, capture):
+    """The id of the station `resolve_capture` picks among stations with
+    these SNRs, or None."""
+    winner = resolve_capture([make_station(i, snr=snr)
+                              for i, snr in snr_by_station.items()], capture)
+    return None if winner is None else winner.id
+
+
 class TestResolveCapture:
     def test_clear_margin_wins(self):
-        assert resolve_capture({1: 30.0, 2: 19.0},
-                               CaptureModel("threshold", 10.0)) == 1
+        assert capture_winner({1: 30.0, 2: 19.0},
+                              CaptureModel("threshold", 10.0)) == 1
 
     def test_insufficient_margin(self):
-        assert resolve_capture({1: 30.0, 2: 25.0},
-                               CaptureModel("threshold", 10.0)) is None
+        assert capture_winner({1: 30.0, 2: 25.0},
+                              CaptureModel("threshold", 10.0)) is None
 
     def test_tie_is_no_capture(self):
-        assert resolve_capture({1: 30.0, 2: 30.0},
-                               CaptureModel("threshold", 10.0)) is None
+        assert capture_winner({1: 30.0, 2: 30.0},
+                              CaptureModel("threshold", 10.0)) is None
 
     def test_mode_none(self):
-        assert resolve_capture({1: 90.0, 2: 10.0}, NO_CAPTURE) is None
+        assert capture_winner({1: 90.0, 2: 10.0}, NO_CAPTURE) is None
 
     def test_three_way_needs_margin_over_second(self):
         snrs = {1: 40.0, 2: 33.0, 3: 20.0}
-        assert resolve_capture(snrs, CaptureModel("threshold", 10.0)) is None
+        assert capture_winner(snrs, CaptureModel("threshold", 10.0)) is None
         snrs = {1: 44.0, 2: 33.0, 3: 20.0}
-        assert resolve_capture(snrs, CaptureModel("threshold", 10.0)) == 1
+        assert capture_winner(snrs, CaptureModel("threshold", 10.0)) == 1
 
 
 class TestCaptureRule:
@@ -68,7 +76,7 @@ class TestCaptureRule:
         # threshold captures only if the rule is read as a sum.
         capture = CaptureModel("threshold", 3.0)
         assert not capture.captures(9.2, 6.2)
-        assert resolve_capture({1: 9.2, 2: 6.2}, capture) is None
+        assert capture_winner({1: 9.2, 2: 6.2}, capture) is None
         # fully connected runs the slotted engine, a hidden pair the event
         # engine; both see overlapping frames and decode none of them
         for hidden_pairs in ((), ((1, 2),)):
@@ -93,7 +101,7 @@ class TestRunSlot:
         assert a.retry_count == 1 and b.retry_count == 1
         assert backoff_window(a) == 32 and backoff_window(b) == 32
         assert duration == pytest.approx(623.0)
-        assert ap.r0_total + ap.r1_total == 0    # nothing decoded
+        assert (ap.r0, ap.r1) == (0, 0)    # nothing decoded
         assert a.missed == b.missed == [0, 0]
 
     def test_single_transmitter_succeeds_other_frozen(self):
@@ -105,10 +113,11 @@ class TestRunSlot:
         run_slot([a], NO_CAPTURE, ap)
         assert b.backoff_counter == 3          # frozen during the busy event
         assert a.retry_count == 0
-        assert a.counters.successes_cumulative == 1
+        assert a.successes == 1
         # the AP decodes the frame; its sender does not sniff it
-        assert ap.r0_total == 1
-        assert a.counters.r0_total == b.counters.r0_total == 0
+        assert (ap.r0, ap.r1) == (1, 0)
+        assert a.missed == [1, 0] and b.missed == [0, 0]
+        assert a.sniffed == b.sniffed == [0, 0]
 
     def test_capture_winner_decoded_loser_penalized_like_collision(self):
         a, b = make_station(1, snr=40.0), make_station(2, snr=20.0)
@@ -120,7 +129,7 @@ class TestRunSlot:
                           FrameRecord(500, 2, False, 1, False)]
         # both sniffers were busy sending the frame the AP decoded
         assert a.missed == b.missed == [1, 0]
-        assert a.counters.successes_cumulative == 1 and a.retry_count == 0
+        assert a.successes == 1 and a.retry_count == 0
         # the loser's bookkeeping matches the pure-collision path
         assert b.retry_flag and b.retry_count == 1 and backoff_window(b) == 32
 
@@ -130,9 +139,8 @@ class TestRunSlot:
         a._frame_attempts = PROFILE.max_retry
         a.backoff_counter = b.backoff_counter = 0
         run_slot([a, b], NO_CAPTURE, BeaconCounters())
-        assert a.frames_dropped_retry == 1
+        assert a.drops == 1
         assert a.retry_count == 0 and backoff_window(a) == 16
-        assert a.dropped_this_interval == 1
 
     def test_credit_sniffed_subtracts_missed_and_zeroes_it(self):
         # the beacon update credits the vantage's tally less `missed`
@@ -141,21 +149,21 @@ class TestRunSlot:
         a.missed = [2, 1]
         control.beacon_update(100, [a], [(30, 14)])
         assert control.records[-1].p_obs == 13 / 41
-        assert (a.counters.r0_total, a.counters.r1_total) == (28, 13)
+        assert a.sniffed == [28, 13]
         assert a.missed == [0, 0]
         control.beacon_update(200, [a], [(25, 5)])
         assert control.records[-1].p_obs == 5 / 30
-        assert (a.counters.r0_total, a.counters.r1_total) == (53, 18)
+        assert a.sniffed == [53, 18]
 
     def test_failure_at_the_retry_limit_drops_once(self):
         a = make_station(1)
         a.retry_count = PROFILE.max_retry - 1
         a.resolve_failure(100)
-        assert a.retry_count == PROFILE.max_retry and a.frames_dropped_retry == 0
+        assert a.retry_count == PROFILE.max_retry and a.drops == 0
         a._frame_attempts = PROFILE.max_retry + 1
         a.resolve_failure(200)
-        assert a.frames_dropped_retry == a.dropped_this_interval == 1
-        assert a.attempts_resolved == PROFILE.max_retry + 1
+        assert a.drops == 1
+        assert a.attempts == PROFILE.max_retry + 1
         assert a.retry_count == 0 and backoff_window(a) == 16
 
     def test_retry_flag_tracks_retry_count(self):
@@ -259,9 +267,7 @@ class TestInvariants:
         control = control_plane("edca-static", stations)
         run_slotted(stations, PROFILE, NO_CAPTURE, control, 2_000_000)
         for s in stations:
-            retries = s.counters.failures_cumulative
-            assert s.attempts_resolved == s.counters.successes_cumulative \
-                + retries + s.frames_dropped_retry
+            assert s.attempts == s.successes + s.retries + s.drops
 
     def test_retry_flag_soundness(self):
         # every decoded first-attempt frame carries flag 0, retransmissions 1
@@ -440,9 +446,8 @@ class TestBeaconInterval:
             s.traffic.arrival_us = 10**9   # far beyond the run
         control = control_plane("cac", stations)
         res = run_slotted(stations, PROFILE, NO_CAPTURE, control, 300_000)
-        assert all(s.counters.r0_total == s.counters.r1_total == 0
-                   for s in stations)
-        assert all(s.attempts_resolved == 0 for s in stations)
+        assert all(s.sniffed == [0, 0] for s in stations)
+        assert all(s.attempts == 0 for s in stations)
         # deferred every interval: the broadcast window never moves
         for rec in res.records:
             if rec.node == "ap":
@@ -454,7 +459,7 @@ class TestBeaconInterval:
         control = control_plane("cac", stations)
         res = run_slotted(stations, PROFILE, NO_CAPTURE, control, 1_000_000)
         # no contention: flag-1 observations are impossible at any vantage
-        assert stations[0].counters.r1_total == 0
+        assert stations[0].sniffed[1] == 0
         for rec in res.records:
             if rec.node == "ap" and rec.p_obs is not None:
                 assert rec.p_obs == 0.0

@@ -47,6 +47,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match="stations"):
             parse_scenario("stations = 3\nsnr_db = 30, 31\n")
 
+    @pytest.mark.parametrize("text,key", [
+        ("controller = cac\ncontroller = dac\nsnr_db = 30\n", "controller"),
+        ("snr_db = 30\nsnr_db = 31, 32\n", "snr_db"),
+        ("stations = 2\nsnr_db = 30\nstations = 3\n", "stations"),
+    ], ids=["controller", "snr_db", "stations"])
+    def test_repeated_key_rejected(self, text, key):
+        # the last value must not silently win
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(text)
+        assert err.value.field == key and "twice" in str(err.value)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_stations_below_one_names_stations(self, count):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(f"stations = {count}\nsnr_db = 30\n")
+        assert err.value.field == "stations"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="snr_dbm"):
             parse_scenario("snr_dbm = 30, 30\n")
