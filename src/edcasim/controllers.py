@@ -113,16 +113,14 @@ def initial_state(gains: PiGains, cw_floor: int, cw_ceiling: int) -> ControllerS
 
 
 def cac_step(p_obs: float | None, state: ControllerState,
-             p_opt: float) -> tuple[ControllerState, int]:
-    """Centralized update at the AP from its `p_obs` estimate; returns the
-    window to broadcast.
+             p_opt: float) -> ControllerState:
+    """Centralized update at the AP from its `p_obs` estimate; the new
+    state's `cw_quantized` is the window to broadcast.
 
-    When the estimate defers (None), the previous window is rebroadcast
-    unchanged.
+    When the estimate defers (None), the state comes back unchanged and its
+    window is rebroadcast.
     """
-    error = None if p_obs is None else cac_error(p_obs, p_opt)
-    new_state = pi_update(state, error)
-    return new_state, new_state.cw_quantized
+    return pi_update(state, None if p_obs is None else cac_error(p_obs, p_opt))
 
 
 def dac_step(p_obs: float | None, p_own: float | None, state: ControllerState,

@@ -114,9 +114,19 @@ class ControlPlane:
         self.records: list[IntervalRecord] = []
         self._names = {i: f"sta{i}" for i in station_ids}   # trace node names
 
-    @staticmethod
-    def _step_error(old: ControllerState, new: ControllerState) -> float | None:
-        return new.prev_error if new is not old else None
+    def _record_step(self, t_ms: int, node: str, p_obs: float | None,
+                     p_own: float | None, old: ControllerState,
+                     new: ControllerState) -> int:
+        """Record one controller step from `old` to `new` and return the
+        window it commits. A window at a bound counts a cap hit; a deferred
+        step, which returns the same state, records no error."""
+        cw = new.cw_quantized
+        if cw in (new.cw_floor, new.cw_ceiling):
+            self.cw_cap_hits += 1
+        self.records.append(IntervalRecord(
+            t_ms, node, p_obs, p_own, new.prev_error if new is not old else None,
+            new.cw_real, cw))
+        return cw
 
     def beacon_update(self, t_ms: int, stations: list[Station], heard) -> None:
         """Close the interval: take each station's gains since the last
@@ -139,13 +149,8 @@ class ControlPlane:
         announced = None
         if self.mode == "cac":
             old = self.cac_state
-            new, announced = cac_step(ap_p_obs, old, p_opt)
-            self.cac_state = new
-            if announced in (new.cw_floor, new.cw_ceiling):
-                self.cw_cap_hits += 1
-            records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None,
-                                          self._step_error(old, new), new.cw_real,
-                                          announced))
+            self.cac_state = new = cac_step(ap_p_obs, old, p_opt)
+            announced = self._record_step(t_ms, "ap", ap_p_obs, None, old, new)
         else:
             records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
 
@@ -164,13 +169,8 @@ class ControlPlane:
             if dac:
                 old = states[s.id]
                 states[s.id] = new = dac_step(p_obs, p_own, old, p_opt)
-                cw = new.cw_quantized
-                if cw in (new.cw_floor, new.cw_ceiling):
-                    self.cw_cap_hits += 1
-                s.commit_cw_min(cw)
-                records.append(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
-                                              self._step_error(old, new),
-                                              new.cw_real, cw))
+                s.commit_cw_min(self._record_step(t_ms, names[s.id], p_obs, p_own,
+                                                  old, new))
             else:
                 if announced is not None:
                     s.commit_cw_min(announced)

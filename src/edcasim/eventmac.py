@@ -69,17 +69,16 @@ def hearing_classes(heard: dict[int, set[int]]) -> list[tuple[int, ...]]:
 
 
 class _Tx:
-    """One transmission on the air (data frame, ACK, or beacon)."""
+    """One transmission on the air: a data frame from a station, or an ACK
+    (with its `owner`) or a beacon from the AP."""
 
-    __slots__ = ("src", "start", "end", "kind", "snr", "retry_flag",
+    __slots__ = ("src", "start", "end", "snr", "retry_flag",
                  "overlap_snrs", "ap_busy", "garbled_at", "owner")
 
-    def __init__(self, src, start, end, kind, snr=0.0, retry_flag=False,
-                 owner=None):
+    def __init__(self, src, start, end, snr=0.0, retry_flag=False, owner=None):
         self.src = src
         self.start = start
         self.end = end
-        self.kind = kind                  # "data" | "ack" | "beacon"
         self.snr = snr
         self.retry_flag = retry_flag
         self.overlap_snrs: list[float] = []   # SNRs of data frames overlapping at AP
@@ -109,11 +108,10 @@ class _HearingClass:
 class EventEngine:
     def __init__(self, stations: list[Station], profile: PhyProfile,
                  capture: CaptureModel, control: ControlPlane,
-                 heard: dict[int, set[int]], ap_hears: set[int],
-                 duration_us: int, slot_log=None):
+                 heard: dict[int, set[int]], duration_us: int, slot_log=None):
         """`heard` maps each station id to the node ids it hears (AP = 0);
-        `ap_hears` holds the stations whose frames reach the AP. `slot_log`,
-        when given, receives a FrameRecord for every data frame."""
+        the AP hears the stations that hear it. `slot_log`, when given,
+        receives a FrameRecord for every data frame."""
         self.slot_log = slot_log
         self.stations = {s.id: s for s in stations}
         self._station_list = list(self.stations.values())
@@ -122,7 +120,7 @@ class EventEngine:
         self._ack_timeout = profile.ack_timeout
         self.capture = capture
         self.control = control
-        self.ap_hears = ap_hears
+        self._ap_hears = {i for i in heard if AP in heard[i]}
         self.duration_us = duration_us
 
         self._classes = [_HearingClass(m) for m in hearing_classes(heard)]
@@ -265,14 +263,13 @@ class EventEngine:
     # -- channel bookkeeping ------------------------------------------------
 
     def _begin_tx(self, tx: _Tx) -> None:
-        audience = self._audience
+        audience, ap_hears = self._audience, self._ap_hears
         tx_audience = audience[tx.src]
-        tx_data = tx.kind == "data"
-        tx_to_ap = tx_data and tx.src in self.ap_hears
-        from_ap = not tx_data
+        from_ap = tx.src == AP
+        tx_to_ap = tx.src in ap_hears
         for f in self._ongoing:
-            if f.kind == "data":
-                if tx_to_ap and f.src in self.ap_hears:
+            if f.src != AP:
+                if tx_to_ap and f.src in ap_hears:
                     f.overlap_snrs.append(tx.snr)
                     tx.overlap_snrs.append(f.snr)
                 if from_ap:
@@ -282,11 +279,10 @@ class EventEngine:
                 f.garbled_at |= lost
                 tx.garbled_at |= lost
                 self._garbled_since |= lost
-        if tx_data:
-            if self._ap_tx_until > tx.start:
-                tx.ap_busy = True
-        else:
+        if from_ap:
             self._ap_tx_until = tx.end
+        elif self._ap_tx_until > tx.start:
+            tx.ap_busy = True
         self._ongoing.append(tx)
 
         # A member in flight is deaf to the busy channel, not to the frame:
@@ -328,7 +324,7 @@ class EventEngine:
                 del self._starts[c]
         st = self.stations[i]
         st.note_attempt()
-        tx = _Tx(i, t, t + self._airtime[i], "data", st.snr_db, st.retry_flag)
+        tx = _Tx(i, t, t + self._airtime[i], st.snr_db, st.retry_flag)
         self._begin_tx(tx)
         self._then(tx.end, _P_END, EventEngine._on_data_end, tx)
 
@@ -345,7 +341,7 @@ class EventEngine:
                 if c is mine:
                     self.stations[src].missed[flag] += 1
         overlaps = tx.overlap_snrs
-        decoded = not tx.ap_busy and src in self.ap_hears and (
+        decoded = not tx.ap_busy and src in self._ap_hears and (
             not overlaps or self.capture.captures(tx.snr, max(overlaps)))
         if self.slot_log is not None:
             self.slot_log(FrameRecord(tx.start, src, decoded, len(overlaps), flag))
@@ -361,8 +357,7 @@ class EventEngine:
             self._then(frame.end + self._ack_timeout, _P_FAIL,
                        EventEngine._on_tx_fail, frame)
             return
-        ack = _Tx(src=AP, start=t, end=t + self.profile.ack_duration,
-                  kind="ack", owner=frame)
+        ack = _Tx(src=AP, start=t, end=t + self.profile.ack_duration, owner=frame)
         self._begin_tx(ack)
         self._then(ack.end, _P_END, EventEngine._on_ack_end, ack)
 
@@ -403,8 +398,7 @@ class EventEngine:
         for c in self._classes:
             c.sniffed[0] = c.sniffed[1] = 0
         start = max(t, self._ap_tx_until)
-        beacon = _Tx(src=AP, start=start, end=start + self.profile.beacon_airtime,
-                     kind="beacon")
+        beacon = _Tx(src=AP, start=start, end=start + self.profile.beacon_airtime)
         self._begin_tx(beacon)
         self._push(beacon.end, _P_END, EventEngine._end_tx, beacon)
 

@@ -7,10 +7,10 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
-from .engine import ControlPlane, RunResult, run_slotted
+from .engine import ControlPlane, IntervalRecord, RunResult, run_slotted
 from .eventmac import EventEngine
 from .mac import CaptureModel, FrameRecord, Station, TrafficSource
 from .scenario import ConfigError, Scenario, emit_scenario, hidden_node_visibility
@@ -66,10 +66,9 @@ def run_once(scenario: Scenario, rep: int, slot_log=None) -> RunResult:
     if scenario.is_fully_connected():
         return run_slotted(stations, profile, capture, control,
                            scenario.duration_us, slot_log=slot_log)
-    heard, ap_hears = hidden_node_visibility(scenario)
-    engine = EventEngine(stations, profile, capture, control, heard, ap_hears,
-                         scenario.duration_us, slot_log=slot_log)
-    return engine.run()
+    return EventEngine(stations, profile, capture, control,
+                       hidden_node_visibility(scenario), scenario.duration_us,
+                       slot_log=slot_log).run()
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,8 @@ def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
 # -- output emission ----------------------------------------------------------
 
 SUMMARY_HEADER = "scenario,seed,station,snr_db,throughput_mbps,jfi"
-TRACE_HEADER = "t_ms,node,p_obs,p_own,error,cw_real,cw_quantized"
-SLOT_TRACE_HEADER = "t_us,station,decoded,overlaps,retry"
+TRACE_HEADER = ",".join(f.name for f in fields(IntervalRecord))
+SLOT_TRACE_HEADER = ",".join(f.name for f in fields(FrameRecord))
 
 
 def slot_trace_writer(fh):
@@ -189,7 +188,7 @@ def slot_trace_writer(fh):
     fh.write(SLOT_TRACE_HEADER + "\n")
 
     def write(frame: FrameRecord) -> None:
-        fh.write(f"{frame.start_us},sta{frame.station},{int(frame.decoded)},"
+        fh.write(f"{frame.t_us},sta{frame.station},{int(frame.decoded)},"
                  f"{frame.overlaps},{int(frame.retry)}\n")
 
     return write

@@ -24,7 +24,7 @@ CAPTURE_MODES = ("none", "threshold")
 class FrameRecord:
     """One transmitted data frame, as either engine hands it to `slot_log`."""
 
-    start_us: int
+    t_us: int              # when it started
     station: int
     decoded: bool          # the AP decoded it
     overlaps: int          # other data frames overlapping it at the AP

@@ -132,8 +132,7 @@ class Scenario:
         for a, b in self.hidden_links:
             if a == b or a not in ids or b not in ids:
                 raise ConfigError("hidden_links", f"bad directed pair ({a},{b})")
-        if (self.hidden_pairs or self.hidden_from_ap or self.hidden_links) \
-                and self.traffic != "saturated":
+        if not self.is_fully_connected() and self.traffic != "saturated":
             raise ConfigError("traffic",
                               "hidden topologies support saturated traffic only")
         if self.station_add_order not in ("ascending", "descending"):
@@ -165,25 +164,24 @@ class Scenario:
         return not (self.hidden_pairs or self.hidden_from_ap or self.hidden_links)
 
 
-def hidden_node_visibility(scenario: Scenario) -> tuple[dict[int, set[int]], set[int]]:
-    """Build per-station heard sets (audible node ids, AP = 0) and the set of
-    stations the AP hears. Stations default to hearing everyone.
+def hidden_node_visibility(scenario: Scenario) -> dict[int, set[int]]:
+    """Build per-station heard sets (audible node ids, AP = 0). Stations
+    default to hearing everyone. Hearing the AP is symmetric, so the AP
+    hears exactly the stations whose heard set holds it.
     """
     n = scenario.n_stations
     heard = {i: set(range(0, n + 1)) for i in range(1, n + 1)}
-    ap_hears = set(range(1, n + 1))
     for a, b in scenario.hidden_pairs:
         heard[a].discard(b)
         heard[b].discard(a)
     for a in scenario.hidden_from_ap:
         heard[a].discard(0)
-        ap_hears.discard(a)
         for i in heard:
             if i != a:
                 heard[i].discard(a)
     for a, b in scenario.hidden_links:
         heard[a].discard(b)
-    return heard, ap_hears
+    return heard
 
 
 # -- flat key = value config files -------------------------------------------

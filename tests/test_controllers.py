@@ -179,7 +179,7 @@ class TestControllerState:
         assert pi_update(s, None) is s
         assert dac_step(None, 0.2, s, 0.16) is s
         assert dac_step(0.2, None, s, 0.16) is s
-        assert cac_step(None, s, 0.16)[0] is s
+        assert cac_step(None, s, 0.16) is s
         # a step, even one that lands on the same value, is a new object
         stepped = pi_update(s, 0.0)
         assert stepped is not s and stepped.prev_error == 0.0
@@ -254,15 +254,15 @@ class TestSteps:
         state = make_state(cw_real=128.0)
         p_obs = estimate_p_obs(5, 1)
         assert p_obs is None
-        new, cw = cac_step(p_obs, state, self.P_OPT)
-        assert new is state and cw == 128
+        new = cac_step(p_obs, state, self.P_OPT)
+        assert new is state and new.cw_quantized == 128
 
     def test_cac_cold_start_rises_under_collisions(self):
         state = initial_state(PiGains(25.3, 14.9), 16, 1024)
         # p_obs = 0.5 >> p_opt
-        new, cw = cac_step(estimate_p_obs(50, 50), state, self.P_OPT)
+        new = cac_step(estimate_p_obs(50, 50), state, self.P_OPT)
         assert new.cw_real > state.cw_real
-        assert cw >= state.cw_quantized
+        assert new.cw_quantized >= state.cw_quantized
 
     def test_dac_defer_on_missing_own_samples(self):
         state = make_state(cw_real=64.0)
@@ -379,7 +379,8 @@ def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Stati
     ap_p_obs = estimate_p_obs(plane.ap.r0, plane.ap.r1, plane.min_samples)
     if plane.mode == "cac":
         old = plane.cac_state
-        plane.cac_state, announced = cac_step(ap_p_obs, old, plane.p_opt)
+        plane.cac_state = cac_step(ap_p_obs, old, plane.p_opt)
+        announced = plane.cac_state.cw_quantized
         err = plane.cac_state.prev_error if plane.cac_state is not old else None
         if announced in (plane.cac_state.cw_floor, plane.cac_state.cw_ceiling):
             plane.cw_cap_hits += 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
-from edcasim.eventmac import EventEngine, hearing_classes
+from edcasim.eventmac import AP, EventEngine, hearing_classes
 from edcasim.harness import (ExperimentResult, _build_stations, emit_outputs, run_once,
                              slot_trace_writer)
 from edcasim.mac import CAPTURE_MODES, CaptureModel
@@ -88,6 +88,7 @@ def _run_both_engines(sc):
     capture = CaptureModel(mode=sc.capture_mode,
                            threshold_db=sc.capture_threshold_db)
     ids = range(1, sc.n_stations + 1)
+    heard = {i: {0, *ids} for i in ids}
     results = {}
     for engine in ("slotted", "event"):
         stations = _build_stations(sc, sc.seed)
@@ -96,9 +97,8 @@ def _run_both_engines(sc):
             results[engine] = run_slotted(stations, profile, capture,
                                           control, sc.duration_us)
         else:
-            heard = {i: {0, *ids} for i in ids}
             results[engine] = EventEngine(stations, profile, capture, control,
-                                          heard, set(ids), sc.duration_us).run()
+                                          heard, sc.duration_us).run()
     return results["slotted"], results["event"]
 
 
@@ -332,7 +332,7 @@ def _classes_of(**kw):
     base = dict(controller="edca-static", duration_s=1.0, replications=1,
                 name="classes")
     base.update(kw)
-    return hearing_classes(hidden_node_visibility(Scenario(**base))[0])
+    return hearing_classes(hidden_node_visibility(Scenario(**base)))
 
 
 class TestHearingClasses:
@@ -356,13 +356,12 @@ class TestHearingClasses:
 def _engine_for(cls, sc, slot_log=None):
     """An event engine of class `cls` for replication 0 of `sc`, with the
     topology `sc` gives."""
-    heard, ap_hears = hidden_node_visibility(sc)
     profile = sc.phy()
     stations = _build_stations(sc, sc.seed)
     control = ControlPlane(sc, [s.id for s in stations])
     capture = CaptureModel(mode=sc.capture_mode,
                            threshold_db=sc.capture_threshold_db)
-    return cls(stations, profile, capture, control, heard, ap_hears,
+    return cls(stations, profile, capture, control, hidden_node_visibility(sc),
                sc.duration_us, slot_log=slot_log)
 
 
@@ -405,7 +404,7 @@ class TestClassSniffing:
     @settings(max_examples=15, deadline=None)
     @given(hidden_scenarios())
     def test_losses_are_whole_classes_and_tallies_match(self, sc):
-        heard = hidden_node_visibility(sc)[0]
+        heard = hidden_node_visibility(sc)
         engine = _engine_for(_RecordingEngine, sc)
         engine.on_air = []
         res = engine.run()
@@ -424,7 +423,7 @@ class TestClassSniffing:
         expected = {v: [0, 0] for v in heard}
         end = res.duration_us
         for tx, _ in engine.on_air:
-            if tx.kind != "data":
+            if tx.src == AP:
                 continue
             for members in classes:
                 others = {v for v in members if v != tx.src}

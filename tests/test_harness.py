@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 from edcasim.cli import main as cli_main
-from edcasim.harness import (SLOT_TRACE_HEADER, SUMMARY_HEADER, TRACE_HEADER,
-                             _build_stations, emit_outputs, jain_index,
+from edcasim.harness import (SUMMARY_HEADER, _build_stations, emit_outputs, jain_index,
                              run_experiment, sweep)
 from edcasim.mac import FrameRecord
 from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
@@ -224,7 +223,7 @@ class TestOutputs:
         assert summary[0] == SUMMARY_HEADER
         assert len(summary) == 1 + sc.replications * sc.n_stations
         trace = Path(paths["trace.csv"]).read_text().splitlines()
-        assert trace[0] == TRACE_HEADER
+        assert trace[0] == "t_ms,node,p_obs,p_own,error,cw_real,cw_quantized"
         intervals = sc.duration_us // sc.phy().beacon_interval
         assert len(trace) == 1 + intervals * (sc.n_stations + 1)
 
@@ -313,7 +312,7 @@ class TestCli:
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o"),
                          "--slot-trace", str(trace)]) == 0
         lines = trace.read_text().splitlines()
-        assert lines[0] == SLOT_TRACE_HEADER
+        assert lines[0] == "t_us,station,decoded,overlaps,retry"
         rows = [line.split(",") for line in lines[1:]]
         assert rows and all(len(r) == 5 and r[1].startswith("sta") for r in rows)
         overlapped = [r for r in rows if int(r[3]) > 0]

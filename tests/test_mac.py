@@ -262,12 +262,18 @@ class TestInvariants:
             f_raw = res.attempts[sid] - t - drops * (profile.max_retry + 1)
             assert f_raw >= 0
 
-    def test_accounting_identity_via_stations(self):
-        stations = [make_station(i) for i in range(1, 7)]
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 99])
+    def test_accounting_identity_via_stations(self, seed):
+        # `attempts` counts resolved frames only, while `retries` also counts
+        # the retransmissions of the frame still backing off at the end: all
+        # but its next one, as the slotted engine resolves each attempt in
+        # the event that makes it.
+        stations = [make_station(i, seed=seed) for i in range(1, 7)]
         control = control_plane("edca-static", stations)
         run_slotted(stations, PROFILE, NO_CAPTURE, control, 2_000_000)
         for s in stations:
-            assert s.attempts == s.successes + s.retries + s.drops
+            in_flight_retries = max(0, s.retry_count - 1)
+            assert s.attempts == s.successes + s.drops + s.retries - in_flight_retries
 
     def test_retry_flag_soundness(self):
         # every decoded first-attempt frame carries flag 0, retransmissions 1
@@ -406,7 +412,7 @@ class TestSniffedTallies:
         res = run_once(sc, 0, slot_log=frames.append)
         events = defaultdict(list)
         for frame in frames:
-            events[frame.start_us].append(frame)
+            events[frame.t_us].append(frame)
         expected = {sid: [0, 0] for sid in res.station_ids}
         for event in events.values():
             sent = {frame.station for frame in event}
@@ -480,7 +486,7 @@ class TestBeaconInterval:
                     2 * profile.beacon_interval, slot_log=frames.append)
         start = profile.beacon_interval + profile.beacon_airtime + profile.aifs
         assert start == 100_203
-        assert frames[0].start_us == start
+        assert frames[0].t_us == start
 
 
 class TestOnOffTraffic:
