@@ -10,8 +10,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .engine import CONTROLLERS
-from .harness import SWEEP_AXES, emit_outputs, run_experiment, slot_trace_writer, sweep
+from .controllers import CONTROLLERS
+from .harness import (OUTPUT_NAMES, SWEEP_AXES, emit_outputs, run_experiment,
+                      slot_trace_writer, sweep)
 from .oracle import cw_grid, solve_fixed_point
 from .phy import BUILTIN_PROFILES, MAX_MSDU_BYTES, get_profile
 from .scenario import PRESETS, ConfigError, Scenario, emit_scenario, get_preset, load_scenario
@@ -49,6 +50,10 @@ def cmd_run(args) -> int:
     trace_fh = None
     slot_log = None
     if args.slot_trace:
+        outputs = {os.path.realpath(os.path.join(args.out, n)) for n in OUTPUT_NAMES}
+        if os.path.realpath(args.slot_trace) in outputs:
+            raise ConfigError("slot-trace", f"{args.slot_trace!r} is an output the "
+                              f"run writes under --out {args.out!r}")
         trace_fh = _open_for_writing(args.slot_trace)
         slot_log = slot_trace_writer(trace_fh)
 

@@ -11,13 +11,8 @@ from typing import NamedTuple
 from .phy import PhyProfile, collision_duration
 
 
-@dataclass(frozen=True)
-class OptimalPoint:
-    """Throughput-maximizing collision probability and the timings behind it."""
-
-    p_opt: float
-    t_e: float            # idle slot [us]
-    t_c: float            # collision duration [us]
+# Every controller a scenario may name; `engine.ControlPlane` says what each does.
+CONTROLLERS = ("cac", "dac", "edca-static")
 
 
 @dataclass(frozen=True)
@@ -42,16 +37,14 @@ class ControllerState(NamedTuple):
     prev_error: float = 0.0
 
 
-def compute_p_opt(profile: PhyProfile, collision_payload: int) -> OptimalPoint:
-    """Target collision probability 1 - exp(-sqrt(2*Te/Tc)).
+def compute_p_opt(profile: PhyProfile, collision_payload: int) -> float:
+    """Target collision probability 1 - exp(-sqrt(2*Te/Tc)), with Te the idle
+    slot and Tc the collision duration for the configured payload.
 
-    Independent of the number of stations; depends only on the idle slot and
-    the collision cost for the configured payload.
+    Independent of the number of stations.
     """
     t_c = collision_duration(profile, collision_payload)
-    t_e = float(profile.slot_time)
-    p = 1.0 - math.exp(-math.sqrt(2.0 * t_e / t_c))
-    return OptimalPoint(p_opt=p, t_e=t_e, t_c=t_c)
+    return 1.0 - math.exp(-math.sqrt(2.0 * profile.slot_time / t_c))
 
 
 def compute_gains(p_opt: float, m: int) -> PiGains:

@@ -9,16 +9,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING
 
 from .controllers import (ControllerState, PiGains, cac_step, compute_gains, compute_p_opt,
                           dac_step, initial_state)
 from .estimators import BeaconCounters, estimate_p_obs, estimate_p_own
 from .mac import CaptureModel, Station, run_slot
 from .phy import PhyProfile
-
-if TYPE_CHECKING:   # `scenario` imports CONTROLLERS from this module
-    from .scenario import Scenario
+from .scenario import Scenario
 
 
 @dataclass(slots=True)
@@ -77,27 +74,30 @@ class RunResult:
         return sorted(self.throughput_mbps)
 
 
-CONTROLLERS = ("cac", "dac", "edca-static")
-
-
 class ControlPlane:
-    """Closes the control loop once per beacon and keeps what it reads and
-    writes: the AP's interval tally (`ap`), each station's counters as read
-    at the last beacon (`marks`), and the run's trace records (`records`).
+    """Decides the window of stations 1..n: its start (`start_cw`, doubling
+    if `beb`) and each beacon's commit. Keeps what it reads and writes: the
+    AP's interval tally (`ap`), each station's counters as read at the last
+    beacon (`marks`), and the run's trace records (`records`).
 
     mode "cac": one controller at the AP, window broadcast to every station.
     mode "dac": one controller per station, committed locally.
     mode "edca-static": no adaptation; estimates are still traced.
     """
 
-    def __init__(self, scenario: Scenario, station_ids: list[int]):
+    def __init__(self, scenario: Scenario):
         self.mode = mode = scenario.controller
         self.profile = profile = scenario.phy()
-        self.p_opt = compute_p_opt(profile, scenario.payload_bytes).p_opt
+        self.p_opt = compute_p_opt(profile, scenario.payload_bytes)
         self.min_samples = scenario.defer_min_samples
         floor, ceiling = scenario.cw_bounds()
+        ids = range(1, scenario.n_stations + 1)
+        # A controller starts every window at its floor, with doubling; the
+        # EDCA baseline keeps its fixed window, doubling only if asked.
+        self.start_cw, self.beb = floor, True
         if mode == "edca-static":
             self.gains = None
+            self.start_cw, self.beb = scenario.static_cw, scenario.static_beb
         elif scenario.kp_override is not None:
             self.gains = PiGains(scenario.kp_override, scenario.ki_override)
         else:
@@ -105,14 +105,14 @@ class ControlPlane:
         self.cac_state: ControllerState | None = (
             initial_state(self.gains, floor, ceiling) if mode == "cac" else None)
         self.dac_states: dict[int, ControllerState] = (
-            {i: initial_state(self.gains, floor, ceiling) for i in station_ids}
+            {i: initial_state(self.gains, floor, ceiling) for i in ids}
             if mode == "dac" else {})
         self.cw_cap_hits = 0   # announced/committed window pinned at a bound
         self.ap = BeaconCounters()   # the AP's decoded frames, fed by the engine
         # station id -> its (successes, retries, drops) at the last beacon
-        self.marks = dict.fromkeys(station_ids, (0, 0, 0))
+        self.marks = dict.fromkeys(ids, (0, 0, 0))
         self.records: list[IntervalRecord] = []
-        self._names = {i: f"sta{i}" for i in station_ids}   # trace node names
+        self._names = {i: f"sta{i}" for i in ids}   # trace node names
 
     def _record_step(self, t_ms: int, node: str, p_obs: float | None,
                      p_own: float | None, old: ControllerState,

@@ -13,7 +13,8 @@ from itertools import repeat
 from .engine import ControlPlane, IntervalRecord, RunResult, run_slotted
 from .eventmac import EventEngine
 from .mac import CaptureModel, FrameRecord, Station, TrafficSource
-from .scenario import ConfigError, Scenario, emit_scenario, hidden_node_visibility
+from .scenario import (HIDDEN_FIELDS, ConfigError, Scenario, emit_scenario,
+                       hidden_node_visibility)
 
 
 def jain_index(throughputs: list[float]) -> float | None:
@@ -32,10 +33,9 @@ def _station_rng(run_seed: int, sid: int, purpose: str) -> random.Random:
     return random.Random(f"{run_seed}/{purpose}/{sid}")
 
 
-def _build_stations(scenario: Scenario, run_seed: int) -> list[Station]:
-    profile = scenario.phy()
+def _build_stations(scenario: Scenario, run_seed: int,
+                    control: ControlPlane) -> list[Station]:
     jitter_rng = _station_rng(run_seed, 0, "snr")
-    cw_floor = scenario.cw_bounds()[0]
     stations = []
     for idx, snr in enumerate(scenario.snr_db, start=1):
         if scenario.snr_jitter_db > 0:
@@ -45,28 +45,23 @@ def _build_stations(scenario: Scenario, run_seed: int) -> list[Station]:
             rng=_station_rng(run_seed, idx, "traffic"),
             burst_bytes=scenario.burst_bytes,
             silent_mean_s=scenario.silent_mean_s)
-        if scenario.controller == "edca-static":
-            cw, beb = scenario.static_cw, scenario.static_beb
-        else:
-            cw, beb = cw_floor, True
         stations.append(Station(
-            station_id=idx, snr_db=snr, profile=profile,
+            station_id=idx, snr_db=snr, profile=control.profile,
             rng=_station_rng(run_seed, idx, "mac"),
-            traffic=traffic, cw_min=cw, beb=beb))
+            traffic=traffic, cw_min=control.start_cw, beb=control.beb))
     return stations
 
 
 def run_once(scenario: Scenario, rep: int, slot_log=None) -> RunResult:
     """One seeded replication; deterministic given (scenario, rep)."""
-    profile = scenario.phy()
-    stations = _build_stations(scenario, scenario.seed + rep)
+    control = ControlPlane(scenario)
+    stations = _build_stations(scenario, scenario.seed + rep, control)
     capture = CaptureModel(mode=scenario.capture_mode,
                            threshold_db=scenario.capture_threshold_db)
-    control = ControlPlane(scenario, [s.id for s in stations])
     if scenario.is_fully_connected():
-        return run_slotted(stations, profile, capture, control,
+        return run_slotted(stations, control.profile, capture, control,
                            scenario.duration_us, slot_log=slot_log)
-    return EventEngine(stations, profile, capture, control,
+    return EventEngine(stations, control.profile, capture, control,
                        hidden_node_visibility(scenario), scenario.duration_us,
                        slot_log=slot_log).run()
 
@@ -125,7 +120,7 @@ def run_experiment(scenario: Scenario, jobs: int = 1,
 def _station_point(base: Scenario, value: int) -> Scenario:
     # Hidden fields name stations by number, and re-sorting the links would
     # give those numbers to other stations.
-    for field in ("hidden_pairs", "hidden_from_ap", "hidden_links"):
+    for field in HIDDEN_FIELDS:
         if getattr(base, field):
             raise ConfigError(field, "an n_stations sweep needs a fully "
                               "connected base scenario")
@@ -170,6 +165,10 @@ def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
             parsed.append(parse(v))
         except (TypeError, ValueError):
             raise ConfigError("values", f"bad {axis} value {v!r}") from None
+    # Each point writes under its value's name, so a repeated value would
+    # overwrite the outputs of the point before it.
+    if len(set(parsed)) < len(parsed):
+        raise ConfigError("values", f"repeated {axis} value in {values}")
     # Building a point validates it, so every point is checked before any runs.
     scenarios = [point(base, v) for v in parsed]
     return [(v, run_experiment(sc, jobs=jobs)) for v, sc in zip(parsed, scenarios)]
@@ -177,6 +176,7 @@ def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
 
 # -- output emission ----------------------------------------------------------
 
+OUTPUT_NAMES = ("summary.csv", "trace.csv", "scenario.lock")   # what emit_outputs writes
 SUMMARY_HEADER = "scenario,seed,station,snr_db,throughput_mbps,jfi"
 TRACE_HEADER = ",".join(f.name for f in fields(IntervalRecord))
 SLOT_TRACE_HEADER = ",".join(f.name for f in fields(FrameRecord))
@@ -197,8 +197,7 @@ def slot_trace_writer(fh):
 def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
     """Write summary.csv, trace.csv (first replication) and scenario.lock."""
     os.makedirs(outdir, exist_ok=True)
-    paths = {name: os.path.join(outdir, name)
-             for name in ("summary.csv", "trace.csv", "scenario.lock")}
+    paths = {name: os.path.join(outdir, name) for name in OUTPUT_NAMES}
     # Floats print with six decimals, integers as they are, None as nothing.
     try:
         scenario = result.scenario

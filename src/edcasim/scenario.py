@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .engine import CONTROLLERS
+from .controllers import CONTROLLERS
 from .estimators import MIN_POBS_SAMPLES
 from .mac import CAPTURE_MODES, TRAFFIC_KINDS
 from .phy import BUILTIN_PROFILES, MAX_MSDU_BYTES, PhyProfile, get_profile, is_pow2
@@ -20,6 +20,11 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         self.field = field_name
         super().__init__(f"{field_name}: {message}")
+
+
+# The fields that hide one node from another; with all of them empty, a
+# scenario is fully connected.
+HIDDEN_FIELDS = ("hidden_pairs", "hidden_from_ap", "hidden_links")
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ class Scenario:
             raise ConfigError(missing, "kp_override and ki_override go together")
 
     def is_fully_connected(self) -> bool:
-        return not (self.hidden_pairs or self.hidden_from_ap or self.hidden_links)
+        return not any(getattr(self, name) for name in HIDDEN_FIELDS)
 
 
 def hidden_node_visibility(scenario: Scenario) -> dict[int, set[int]]:

@@ -19,7 +19,7 @@ from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario, get_preset
 
 PROFILE = PROFILE_80211A_24
-P_OPT = compute_p_opt(PROFILE, 1500).p_opt
+P_OPT = compute_p_opt(PROFILE, 1500)
 CAC_DECORRELATION_REPS = 8
 
 

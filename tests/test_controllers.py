@@ -5,14 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edcasim.controllers import (ControllerState, OptimalPoint, PiGains, cac_error,
+from edcasim.controllers import (CONTROLLERS, ControllerState, PiGains, cac_error,
                                  cac_step, compute_gains, compute_p_opt, dac_error,
                                  dac_step, initial_state, pi_update, quantize_cw)
-from edcasim.engine import CONTROLLERS, ControlPlane, IntervalRecord, run_slotted
+from edcasim.engine import ControlPlane, IntervalRecord, run_slotted
 from edcasim.estimators import estimate_p_obs, estimate_p_own
 from edcasim.harness import _build_stations
 from edcasim.mac import CaptureModel, Station, TrafficSource, effective_cw_max
-from edcasim.phy import PROFILE_80211A_24, PhyProfile
+from edcasim.phy import PROFILE_80211A_24, PhyProfile, collision_duration
 from edcasim.scenario import Scenario
 
 # Frozen from a 40-digit evaluation of the closed forms (see test docstrings).
@@ -21,38 +21,38 @@ KP_016_M6 = 25.302794032041192
 KI_016_M6 = 14.883996489435996
 
 
-def p_col_exact(pt: OptimalPoint, n: int) -> float:
+def p_col_exact(profile: PhyProfile, payload: int, n: int) -> float:
     """Collision probability at the exact optimum for n stations, whose
     per-station transmission probability the approximation replaces."""
-    tau_opt_exact = min(1.0, math.sqrt(2.0 * pt.t_e / pt.t_c) / n)
+    t_e, t_c = profile.slot_time, collision_duration(profile, payload)
+    tau_opt_exact = min(1.0, math.sqrt(2.0 * t_e / t_c) / n)
     return 1.0 - (1.0 - tau_opt_exact) ** (n - 1)
 
 
 class TestOptimalPoint:
     def test_80211a_band(self):
-        pt = compute_p_opt(PROFILE_80211A_24, 1500)
-        assert 0.14 <= pt.p_opt <= 0.18
+        assert 0.14 <= compute_p_opt(PROFILE_80211A_24, 1500) <= 0.18
 
     def test_80211a_golden(self):
-        pt = compute_p_opt(PROFILE_80211A_24, 1500)
-        assert pt.p_opt == pytest.approx(P_OPT_80211A_1500, rel=1e-12)
-        assert pt.t_c == pytest.approx(623.0)
+        p_opt = compute_p_opt(PROFILE_80211A_24, 1500)
+        assert p_opt == pytest.approx(P_OPT_80211A_1500, rel=1e-12)
+        assert collision_duration(PROFILE_80211A_24, 1500) == pytest.approx(623.0)
 
     def test_unit_exponent(self):
         # Te = Tc/2 forces the exponent to 1: p_opt = 1 - 1/e
         profile = PhyProfile(name="half", slot_time=50, sifs=1, aifs=1,
                              t_plcp=40, eifs=40, ack_duration=1, bit_rate=4.0,
                              beacon_interval=100_000)
-        pt = compute_p_opt(profile, 10)   # Tc = 40 + 20 + 40 = 100 = 2*Te
-        assert pt.t_c == pytest.approx(2 * pt.t_e)
-        assert pt.p_opt == pytest.approx(1.0 - math.exp(-1.0))
+        # Tc = 40 + 20 + 40 = 100 = 2*Te
+        assert collision_duration(profile, 10) == pytest.approx(2 * profile.slot_time)
+        assert compute_p_opt(profile, 10) == pytest.approx(1.0 - math.exp(-1.0))
 
     def test_independent_of_station_count(self):
-        pt = compute_p_opt(PROFILE_80211A_24, 1500)
+        p_opt = compute_p_opt(PROFILE_80211A_24, 1500)
         # the exact per-n optimum converges to the approximation from below
-        exact = [p_col_exact(pt, n) for n in (5, 20, 100, 1000)]
+        exact = [p_col_exact(PROFILE_80211A_24, 1500, n) for n in (5, 20, 100, 1000)]
         assert exact == sorted(exact)
-        assert exact[-1] == pytest.approx(pt.p_opt, abs=0.01)
+        assert exact[-1] == pytest.approx(p_opt, abs=0.01)
 
 
 class TestGains:
@@ -287,7 +287,7 @@ class TestSteps:
 class TestControlPlaneSettings:
     def test_defaults_come_from_the_phy_and_payload(self):
         sc = Scenario(snr_db=(30.0,) * 3, controller="dac")
-        plane = ControlPlane(sc, [1, 2, 3])
+        plane = ControlPlane(sc)
         assert plane.p_opt == pytest.approx(P_OPT_80211A_1500, rel=1e-12)
         assert plane.min_samples == sc.defer_min_samples
         assert plane.gains == compute_gains(plane.p_opt, sc.phy().m_backoff_stages)
@@ -300,13 +300,26 @@ class TestControlPlaneSettings:
         sc = Scenario(snr_db=(30.0,), controller="cac", payload_bytes=200,
                       defer_min_samples=7, kp_override=3.0, ki_override=2.0,
                       cw_floor_override=8, cw_ceiling_override=256)
-        plane = ControlPlane(sc, [1])
-        assert plane.p_opt == compute_p_opt(sc.phy(), 200).p_opt
+        plane = ControlPlane(sc)
+        assert plane.p_opt == compute_p_opt(sc.phy(), 200)
         assert plane.min_samples == 7
         assert plane.gains == PiGains(3.0, 2.0)
         state = plane.cac_state
         assert (state.cw_floor, state.cw_ceiling, state.cw_quantized) == (8, 256, 8)
         assert plane.dac_states == {}
+
+    @pytest.mark.parametrize("controller,start", [
+        ("cac", (64, True)), ("dac", (64, True)), ("edca-static", (128, False))])
+    def test_plane_sets_each_stations_starting_window(self, controller, start):
+        # a controller starts every station at its floor, with doubling; the
+        # EDCA baseline at its fixed window, doubling only if asked
+        sc = Scenario(snr_db=(30.0,) * 3, controller=controller,
+                      cw_floor_override=64, static_cw=128)
+        plane = ControlPlane(sc)
+        assert (plane.start_cw, plane.beb) == start
+        stations = _build_stations(sc, sc.seed, plane)
+        assert [s.id for s in stations] == list(plane.marks) == [1, 2, 3]
+        assert all((s.cw_min_current, s.beb) == start for s in stations)
 
 
 class TestIntervalGains:
@@ -318,7 +331,7 @@ class TestIntervalGains:
         sc = Scenario(snr_db=(30.0,), controller="edca-static")
         station = Station(1, 30.0, sc.phy(), random.Random(1),
                           TrafficSource("saturated", 1500), 16)
-        return ControlPlane(sc, [1]), station
+        return ControlPlane(sc), station
 
     def test_interval_deltas(self):
         plane, station = self.plane_and_station()
@@ -353,8 +366,8 @@ class TestWindowBoundHits:
         # interval, DAC's four.
         sc = Scenario(snr_db=(30.0,) * 4, controller=controller, duration_s=2.0,
                       replications=1, seed=3, defer_min_samples=10 ** 9)
-        stations = _build_stations(sc, sc.seed)
-        control = ControlPlane(sc, [s.id for s in stations])
+        control = ControlPlane(sc)
+        stations = _build_stations(sc, sc.seed, control)
         run_slotted(stations, sc.phy(), CaptureModel(), control, sc.duration_us)
         assert all(s.cw_min_current == 16 for s in stations)
         assert control.cw_cap_hits == hits
@@ -469,7 +482,7 @@ class TestFusedBeaconPass:
             stations = [Station(i, 30.0, profile, random.Random(i),
                                 TrafficSource("saturated", 1500), cw, beb)
                         for i, (cw, beb) in enumerate(zip(run["windows"], run["bebs"]), 1)]
-            sides.append((ControlPlane(sc, [s.id for s in stations]), stations))
+            sides.append((ControlPlane(sc), stations))
         (fused, fused_stations), (reference, reference_stations) = sides
         for k, ((ap_r0, ap_r1), gains) in enumerate(run["intervals"], 1):
             heard = [g[:2] for g in gains]

@@ -5,11 +5,13 @@ from collections import defaultdict
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
+from edcasim.controllers import CONTROLLERS
+from edcasim.engine import ControlPlane, run_slotted
 from edcasim.eventmac import AP, EventEngine, hearing_classes
 from edcasim.harness import (ExperimentResult, _build_stations, emit_outputs, run_once,
                              slot_trace_writer)
 from edcasim.mac import CAPTURE_MODES, CaptureModel
+from edcasim.oracle import solve_fixed_point
 from edcasim.scenario import ConfigError, Scenario, hidden_node_visibility
 
 
@@ -91,8 +93,8 @@ def _run_both_engines(sc):
     heard = {i: {0, *ids} for i in ids}
     results = {}
     for engine in ("slotted", "event"):
-        stations = _build_stations(sc, sc.seed)
-        control = ControlPlane(sc, [s.id for s in stations])
+        control = ControlPlane(sc)
+        stations = _build_stations(sc, sc.seed, control)
         if engine == "slotted":
             results[engine] = run_slotted(stations, profile, capture,
                                           control, sc.duration_us)
@@ -131,6 +133,40 @@ class TestEngineConsistency:
         res = run_once(hidden_pair_scenario(duration_s=5.0), 0)
         intervals = int(5e6) // hidden_pair_scenario().phy().beacon_interval
         assert len(res.records) == intervals * 3   # 2 stations + AP
+
+
+class TestModelOracle:
+    """Both engines against Bianchi's fixed point (`oracle.solve_fixed_point`),
+    a model that shares no code with the MAC, on every cell of a grid of
+    saturated, fully connected WLANs with a fixed window and doubling.
+
+    Tolerances, set from what the model leaves out before the grid ran:
+    - throughput within 4 %: the model omits the beacons' airtime (about
+      0.2 %); a 5 s run counts some 10^4 successes, so its noise is about
+      1 % and 3 sigma about 3 %; and the MAC drops a frame after 7 retries
+      where the model retries it forever.
+    - the collision probability p within 0.03: its noise over some 10^4
+      attempts is about 0.005 at p = 0.3, 3 sigma 0.015, and the retry
+      limit moves it most where p is highest, at n = 20-30 with window 16.
+    The run's p counts each retry of a frame that got through as a
+    failure; a dropped frame's retries do not count.
+    """
+
+    @pytest.mark.parametrize("cw", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("n", [2, 5, 10, 20, 30])
+    def test_both_engines_match_the_fixed_point(self, n, cw):
+        sc = Scenario(snr_db=(30.0,) * n, controller="edca-static", static_cw=cw,
+                      static_beb=True, capture_mode="none", traffic="saturated",
+                      duration_s=5.0, replications=1, seed=3, name="oracle")
+        profile = sc.phy()
+        model = solve_fixed_point(n, cw, profile.m_backoff_stages, profile,
+                                  sc.payload_bytes)
+        for engine, res in zip(("slotted", "event"), _run_both_engines(sc)):
+            failures = (sum(res.retries.values())
+                        - profile.max_retry * sum(res.drops.values()))
+            p = failures / (failures + sum(res.successes.values()))
+            assert res.total_mbps == pytest.approx(model.throughput, rel=0.04), engine
+            assert p == pytest.approx(model.p, abs=0.03), engine
 
 
 class TestValidation:
@@ -357,8 +393,8 @@ def _engine_for(cls, sc, slot_log=None):
     """An event engine of class `cls` for replication 0 of `sc`, with the
     topology `sc` gives."""
     profile = sc.phy()
-    stations = _build_stations(sc, sc.seed)
-    control = ControlPlane(sc, [s.id for s in stations])
+    control = ControlPlane(sc)
+    stations = _build_stations(sc, sc.seed, control)
     capture = CaptureModel(mode=sc.capture_mode,
                            threshold_db=sc.capture_threshold_db)
     return cls(stations, profile, capture, control, hidden_node_visibility(sc),

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from edcasim.cli import main as cli_main
+from edcasim.engine import ControlPlane
 from edcasim.harness import (SUMMARY_HEADER, _build_stations, emit_outputs, jain_index,
                              run_experiment, sweep)
 from edcasim.mac import FrameRecord
@@ -112,10 +113,11 @@ class TestExperiment:
         # before the first beacon no controller has run: the stations' own
         # starting window must already respect the configured floor
         sc = tiny_scenario(controller=controller, cw_floor_override=256)
-        assert all(s.cw_min_current == 256 for s in _build_stations(sc, sc.seed))
+        assert all(s.cw_min_current == 256
+                   for s in _build_stations(sc, sc.seed, ControlPlane(sc)))
+        sc = tiny_scenario(controller=controller)
         assert all(s.cw_min_current == 16
-                   for s in _build_stations(tiny_scenario(controller=controller),
-                                            sc.seed))
+                   for s in _build_stations(sc, sc.seed, ControlPlane(sc)))
 
     def test_slot_log_reaches_both_engines(self):
         frames = []
@@ -198,6 +200,18 @@ class TestSweep:
         with pytest.raises(ConfigError, match="capture_threshold_db"):
             sweep(tiny_scenario(), "capture_threshold", [10, -1])
 
+    @pytest.mark.parametrize("axis,values", [("n_stations", ["2", "02"]),
+                                             ("capture_threshold", [10, 10.0]),
+                                             ("controller", ["cac", "dac", "cac"])])
+    def test_repeated_values_rejected_before_any_runs(self, monkeypatch, axis, values):
+        # each point writes under its value's name: a repeat would overwrite
+        import edcasim.harness
+        monkeypatch.setattr(edcasim.harness, "run_experiment",
+                            lambda *a, **k: pytest.fail("a point ran"))
+        with pytest.raises(ConfigError, match="repeated") as err:
+            sweep(tiny_scenario(), axis, values)
+        assert err.value.field == "values"
+
     @pytest.mark.parametrize("hidden", [dict(hidden_pairs=((2, 3),)),
                                         dict(hidden_from_ap=(1,)),
                                         dict(hidden_links=((1, 3),))],
@@ -244,7 +258,8 @@ class TestOutputs:
                 .splitlines()[1:]]
         assert len(rows) == sc.replications * sc.n_stations
         for _name, seed, sid, snr, *_ in rows:
-            ran_with = {s.id: s.snr_db for s in _build_stations(sc, int(seed))}
+            ran_with = {s.id: s.snr_db
+                        for s in _build_stations(sc, int(seed), ControlPlane(sc))}
             assert float(snr) == pytest.approx(ran_with[int(sid)], abs=1e-6)
             assert float(snr) != sc.snr_db[int(sid) - 1]
 
@@ -354,17 +369,30 @@ class TestCli:
         ("controller = cac\ncontroller = dac", ["run", "{cfg}"], "controller"),
         ("snr_db = 30", ["run", "{cfg}"], "snr_db"),
         ("stations = 2\nstations = 2", ["run", "{cfg}"], "stations"),
+        ("", ["sweep", "--base", "{cfg}", "--axis", "n_stations", "--values", "2",
+              "02"], "values"),
     ], ids=["controller", "defer_min_samples_0", "defer_min_samples_negative",
             "name_comma", "cw_ceiling_override", "cw_floor_and_ceiling_above_phy",
             "static_cw_with_beb", "kp_override_inf", "sweep_controller",
             "sweep_n_stations_hidden", "controller_twice", "snr_db_twice",
-            "stations_twice"])
+            "stations_twice", "sweep_repeated_values"])
     def test_config_error_exit_code(self, tmp_path, capsys, config, argv, field):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"snr_db = 30, 30\n{config}\n")
         argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / "o")]
         assert cli_main(argv) == 2
         assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["summary.csv", "trace.csv", "scenario.lock"])
+    def test_slot_trace_onto_an_output_is_refused(self, tmp_path, capsys,
+                                                  monkeypatch, name):
+        # the run would overwrite the frame trace with one of its outputs
+        monkeypatch.chdir(tmp_path)
+        Path("cfg").write_text(emit_scenario(tiny_scenario(replications=1)))
+        assert cli_main(["run", "cfg", "--out", "o",
+                         "--slot-trace", f"o/../o/./{name}"]) == 2
+        assert "configuration error: slot-trace:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg"]
 
     def test_missing_scenario_is_config_error(self, tmp_path):
         assert cli_main(["run", "nonexistent", "--out", str(tmp_path)]) == 2

@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edcasim.controllers import compute_p_opt
-from edcasim.engine import CONTROLLERS, ControlPlane, run_slotted
+from edcasim.controllers import CONTROLLERS, compute_p_opt
+from edcasim.engine import ControlPlane, run_slotted
 from edcasim.estimators import BeaconCounters
 from edcasim.harness import run_once
 from edcasim.mac import (CAPTURE_MODES, TRAFFIC_KINDS, CaptureModel, FrameRecord,
@@ -36,7 +36,7 @@ def backoff_window(s):
 def control_plane(controller, stations):
     """A control plane for `stations` with a default scenario's settings."""
     sc = Scenario(snr_db=(30.0,) * len(stations), controller=controller)
-    return ControlPlane(sc, [s.id for s in stations])
+    return ControlPlane(sc)
 
 
 def capture_winner(snr_by_station, capture):
@@ -435,7 +435,7 @@ class TestClosedLoop:
                       duration_s=120.0, replications=1, seed=60 + n,
                       name="closedloop")
         res = run_once(sc, 0)
-        p_opt = compute_p_opt(PROFILE, 1500).p_opt
+        p_opt = compute_p_opt(PROFILE, 1500)
         tail = [rec.p_obs for rec in res.records
                 if rec.node == "ap" and rec.t_ms > 60_000
                 and rec.p_obs is not None]

@@ -67,7 +67,7 @@ class TestBruteForce:
 
 class TestTargetConsistency:
     def test_p_opt_target_within_one_step_of_bruteforce(self):
-        p_opt = compute_p_opt(PROFILE, PAYLOAD).p_opt
+        p_opt = compute_p_opt(PROFILE, PAYLOAD)
         for n in range(2, 31):
             target = cw_targeted_by_p(p_opt, n, PROFILE, PAYLOAD)
             best = optimal_cw_bruteforce(n, PROFILE, PAYLOAD)

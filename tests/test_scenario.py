@@ -3,7 +3,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, reject, strategies as st
 
-from edcasim.engine import CONTROLLERS
+from edcasim.controllers import CONTROLLERS
 from edcasim.harness import run_once
 from edcasim.mac import CAPTURE_MODES
 from edcasim.phy import BUILTIN_PROFILES
