@@ -37,6 +37,15 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **changes)
 
 
+def _refuse_unwritable(flag: str, path: str, directory: bool) -> None:
+    """Before anything runs, refuse a `path` that `flag` could not write."""
+    if os.path.exists(path) and os.path.isdir(path) != directory or (
+            not directory and path.endswith(os.sep)):
+        raise ConfigError(flag, f"{path!r} is {'not ' if directory else ''}a directory")
+    if os.path.isfile(os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(flag, f"the parent of {path!r} is a file")
+
+
 def _open_for_writing(path: str):
     """Open a CSV file for writing, creating its directory if need be."""
     parent = os.path.dirname(path)
@@ -47,9 +56,10 @@ def _open_for_writing(path: str):
 
 def cmd_run(args) -> int:
     scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
-    trace_fh = None
-    slot_log = None
+    _refuse_unwritable("out", args.out, directory=True)
+    trace_fh = slot_log = None
     if args.slot_trace:
+        _refuse_unwritable("slot-trace", args.slot_trace, directory=False)
         outputs = {os.path.realpath(os.path.join(args.out, n)) for n in OUTPUT_NAMES}
         if os.path.realpath(args.slot_trace) in outputs:
             raise ConfigError("slot-trace", f"{args.slot_trace!r} is an output the "
@@ -80,6 +90,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _apply_overrides(_resolve_scenario(args.base), args)
+    _refuse_unwritable("out", args.out, directory=True)
     rows = sweep(base, args.axis, args.values, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     table = os.path.join(args.out, "sweep.csv")

@@ -246,11 +246,24 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             idle += wait
             t += wait * slot
 
+        # Any other station that fires now lies under one of the root's two
+        # children, so they tell a lone transmitter: its next fire replaces
+        # it at the root with one heap operation. `run_slot` redraws every
+        # transmitter's counter, or leaves it idle until its next arrival.
+        n = len(fires)
+        if (n < 2 or fires[1][0] > idle) and (n < 3 or fires[2][0] > idle):
+            s = fires[0][2]
+            t += run_slot([s], capture, ap, t, slot_log)
+            if s.backlogged:
+                heapq.heapreplace(fires, (idle + s.backoff_counter, s.id, s))
+            else:
+                heapq.heappop(fires)
+                heapq.heappush(arrivals, (s.traffic.arrival_us, s.id, s))
+            continue
+
         transmitters = []
         while fires and fires[0][0] == idle:
-            s = heapq.heappop(fires)[2]
-            s.backoff_counter = 0
-            transmitters.append(s)
+            transmitters.append(heapq.heappop(fires)[2])
         t += run_slot(transmitters, capture, ap, t, slot_log)
         for s in transmitters:
             if s.backlogged:

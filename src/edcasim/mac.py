@@ -77,9 +77,7 @@ class TrafficSource:
         self.transfer_delays_us: list[int] = []
 
     def consume_frame(self, now_us: int) -> bool:
-        """Advance past one resolved frame; False when the queue went empty."""
-        if self.kind == "saturated":
-            return True
+        """Advance an on/off source past one resolved frame; False when it ran dry."""
         self.frames_left -= 1
         if self.frames_left > 0:
             return True
@@ -108,8 +106,10 @@ class Station:
         self.id = station_id
         self.snr_db = snr_db
         self.profile = profile
-        self.rng = rng
+        self._getrandbits = rng.getrandbits
         self.traffic = traffic
+        # Saturated traffic never runs dry, so a frame that ends skips it.
+        self.saturated = traffic.kind == "saturated"
         self.payload_bytes = traffic.payload_bytes
         # Whole-microsecond airtimes of this station's frame, fixed per run.
         self.success_us = int(round(success_duration(profile, self.payload_bytes)))
@@ -118,7 +118,7 @@ class Station:
         self.cw_min_current = None   # no window committed yet
         self.commit_cw_min(cw_min)
         self.retry_count = 0
-        self.backlogged = traffic.kind == "saturated"
+        self.backlogged = self.saturated
         self.backoff_counter = 0
         # Whole-run counters that only grow, as a driver's do: acked frames,
         # retransmission attempts, retry-limit drops, and the attempts of
@@ -127,7 +127,6 @@ class Station:
         self.retries = 0
         self.drops = 0
         self.attempts = 0
-        self._frame_attempts = 0
         # (r0, r1) of the frames this station's sniffer heard over the run,
         # and of the frames in this vantage's tally that it did not hear this
         # interval; the beacon update subtracts the latter.
@@ -141,8 +140,15 @@ class Station:
         return self.retry_count > 0
 
     def draw_backoff(self) -> None:
-        self.backoff_counter = self.rng.randrange(
-            min(self.cw_min_current << self.retry_count, self.cw_max))
+        # rng.randrange(w), drawn as CPython 3.10 to 3.13 draw it: k-bit
+        # draws until one falls below w. Stage 0 spans CW_min itself, which
+        # a validated window never puts above cw_max.
+        w = min(self.cw_min_current << self.retry_count, self.cw_max) \
+            if self.retry_count else self.cw_min_current
+        k = w.bit_length()
+        while (r := self._getrandbits(k)) >= w:
+            pass
+        self.backoff_counter = r
 
     def commit_cw_min(self, cw_min: int) -> None:
         # Takes effect at the next backoff draw; the running counter survives.
@@ -155,31 +161,28 @@ class Station:
                                        self.profile.cw_ceiling) if self.beb else cw_min
 
     def note_attempt(self) -> None:
-        self._frame_attempts += 1
         if self.retry_count:
             self.retries += 1
 
-    def resolve_success(self, now_us: int) -> None:
-        self.successes += 1
-        self._finish_frame(now_us)
-
-    def resolve_failure(self, now_us: int) -> None:
-        """Register a failed attempt; past the retry limit, drop the frame."""
-        self.retry_count += 1
-        if self.retry_count <= self.profile.max_retry:
-            self.draw_backoff()
-            return
-        self.drops += 1
-        self._finish_frame(now_us)
-
-    def _finish_frame(self, now_us: int) -> None:
-        self.attempts += self._frame_attempts
+    def resolve_success(self, now_us: int, *, dropped: bool = False) -> None:
+        """End the current frame: acked, or dropped (`resolve_failure` counts drops)."""
+        if not dropped:
+            self.successes += 1
+        self.attempts += self.retry_count + 1   # one per failure, and the last
         self.retry_count = 0
-        self._frame_attempts = 0
-        if self.traffic.consume_frame(now_us):
+        if self.saturated or self.traffic.consume_frame(now_us):
             self.draw_backoff()
         else:
             self.backlogged = False
+
+    def resolve_failure(self, now_us: int) -> None:
+        """Register a failed attempt; past the retry limit, drop the frame."""
+        if self.retry_count < self.profile.max_retry:
+            self.retry_count += 1
+            self.draw_backoff()
+        else:
+            self.drops += 1
+            self.resolve_success(now_us, dropped=True)
 
     def activate(self) -> None:
         # Called once `traffic.arrival_us` has come: the burst starts then.
@@ -202,13 +205,20 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
     transmitter's `missed`: its sniffer was busy sending. When given,
     `slot_log` receives a FrameRecord for each transmitted frame.
     """
+    if len(transmitters) == 1:
+        s = transmitters[0]
+        s.note_attempt()
+        flag = s.retry_count > 0
+        ap_counters.observe_frame(flag)
+        s.missed[flag] += 1
+        if slot_log is not None:
+            slot_log(FrameRecord(now_us, s.id, True, 0, flag))
+        s.resolve_success(now_us + s.success_us)
+        return s.success_us
+
     for s in transmitters:
         s.note_attempt()
-
-    if len(transmitters) == 1:
-        winner = transmitters[0]
-    else:
-        winner = resolve_capture(transmitters, capture)
+    winner = resolve_capture(transmitters, capture)
 
     if winner is None:
         busy_us = max(s.collision_us for s in transmitters)

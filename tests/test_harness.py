@@ -371,15 +371,28 @@ class TestCli:
         ("stations = 2\nstations = 2", ["run", "{cfg}"], "stations"),
         ("", ["sweep", "--base", "{cfg}", "--axis", "n_stations", "--values", "2",
               "02"], "values"),
+        ("", ["run", "{cfg}", "--out", "{cfg}"], "out"),
+        ("", ["sweep", "--base", "{cfg}", "--axis", "n_stations", "--values", "1",
+              "--out", "{cfg}"], "out"),
     ], ids=["controller", "defer_min_samples_0", "defer_min_samples_negative",
             "name_comma", "cw_ceiling_override", "cw_floor_and_ceiling_above_phy",
             "static_cw_with_beb", "kp_override_inf", "sweep_controller",
             "sweep_n_stations_hidden", "controller_twice", "snr_db_twice",
-            "stations_twice", "sweep_repeated_values"])
-    def test_config_error_exit_code(self, tmp_path, capsys, config, argv, field):
+            "stations_twice", "sweep_repeated_values", "run_out_is_a_file",
+            "sweep_out_is_a_file"])
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, config,
+                                    argv, field):
+        # a configuration error is reported before any replication runs
+        import edcasim.cli
+        import edcasim.harness
+        for module in (edcasim.cli, edcasim.harness):
+            monkeypatch.setattr(module, "run_experiment",
+                                lambda *a, **k: pytest.fail("a replication ran"))
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"snr_db = 30, 30\n{config}\n")
-        argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / "o")]
+        argv = [a.format(cfg=cfg) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "o")]
         assert cli_main(argv) == 2
         assert f"configuration error: {field}:" in capsys.readouterr().err
 
@@ -393,6 +406,20 @@ class TestCli:
                          "--slot-trace", f"o/../o/./{name}"]) == 2
         assert "configuration error: slot-trace:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg"]
+
+    @pytest.mark.parametrize("slot_trace", ["o2/", "o2", "new/", "f/frames.csv"],
+                             ids=["directory_slash", "directory", "new_directory",
+                                  "under_a_file"])
+    def test_slot_trace_that_cannot_be_a_file_is_refused(self, tmp_path, capsys,
+                                                         monkeypatch, slot_trace):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg").write_text(emit_scenario(tiny_scenario(replications=1)))
+        Path("f").write_text("")
+        Path("o2").mkdir()
+        assert cli_main(["run", "cfg", "--out", "o", "--slot-trace", slot_trace]) == 2
+        assert "configuration error: slot-trace:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg", "f", "o2"]
+        assert not any(Path("o2").iterdir()) and Path("f").read_text() == ""
 
     def test_missing_scenario_is_config_error(self, tmp_path):
         assert cli_main(["run", "nonexistent", "--out", str(tmp_path)]) == 2

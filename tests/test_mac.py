@@ -1,15 +1,18 @@
 import hashlib
+import heapq
+import math
 import random
 from collections import defaultdict
 from dataclasses import replace
+from itertools import repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edcasim.controllers import CONTROLLERS, compute_p_opt
-from edcasim.engine import ControlPlane, run_slotted
+from edcasim.engine import ControlPlane, RunResult, run_slotted
 from edcasim.estimators import BeaconCounters
-from edcasim.harness import run_once
+from edcasim.harness import _build_stations, run_once
 from edcasim.mac import (CAPTURE_MODES, TRAFFIC_KINDS, CaptureModel, FrameRecord,
                          Station, TrafficSource, effective_cw_max, resolve_capture,
                          run_slot)
@@ -136,7 +139,6 @@ class TestRunSlot:
     def test_retry_limit_drop_resets_window(self):
         a, b = make_station(1), make_station(2)
         a.retry_count = PROFILE.max_retry
-        a._frame_attempts = PROFILE.max_retry
         a.backoff_counter = b.backoff_counter = 0
         run_slot([a, b], NO_CAPTURE, BeaconCounters())
         assert a.drops == 1
@@ -160,7 +162,6 @@ class TestRunSlot:
         a.retry_count = PROFILE.max_retry - 1
         a.resolve_failure(100)
         assert a.retry_count == PROFILE.max_retry and a.drops == 0
-        a._frame_attempts = PROFILE.max_retry + 1
         a.resolve_failure(200)
         assert a.drops == 1
         assert a.attempts == PROFILE.max_retry + 1
@@ -235,6 +236,29 @@ class TestCachedCeiling:
             assert backoff_window(s) == window
             s.draw_backoff()
             assert 0 <= s.backoff_counter < window
+
+
+class TestDrawMatchesRandrange:
+    """`draw_backoff` draws with `getrandbits` as CPython's `randrange` does,
+    so a CPython that changes `randrange` fails here, not only the digests."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(),
+           st.one_of(st.integers(0, 10).map(lambda k: 1 << k),
+                     st.sampled_from((3, 48, 100))),
+           st.lists(st.integers(0, PROFILE.max_retry), min_size=1, max_size=20))
+    def test_draw_for_draw_equal_to_a_twin_rng(self, seed, beb, cw_min, retry_counts):
+        rng, twin = random.Random(seed), random.Random(seed)
+        cw_max = effective_cw_max(cw_min, PROFILE.m_backoff_stages,
+                                  PROFILE.cw_ceiling) if beb else cw_min
+        s = Station(station_id=1, snr_db=30.0, profile=PROFILE, rng=rng,
+                    traffic=TrafficSource("saturated", 1500), cw_min=cw_min, beb=beb)
+        assert s.backoff_counter == twin.randrange(cw_min)   # the draw at stage 0
+        for r in retry_counts:
+            s.retry_count = r
+            s.draw_backoff()
+            assert s.backoff_counter == twin.randrange(min(cw_min << r, cw_max))
+            assert rng.getstate() == twin.getstate()
 
 
 def run_scenario(controller="edca-static", n=5, duration_s=2.0, seed=42,
@@ -423,6 +447,142 @@ class TestSniffedTallies:
                             tally[frame.retry] += 1
         assert res.sniffed_flags == {sid: tuple(tally)
                                      for sid, tally in expected.items()}
+
+
+def _reference_run_slot(transmitters, capture, ap_counters, now_us=0, slot_log=None):
+    """`run_slot` with one path for every event, lone transmitter or not."""
+    for s in transmitters:
+        s.note_attempt()
+
+    if len(transmitters) == 1:
+        winner = transmitters[0]
+    else:
+        winner = resolve_capture(transmitters, capture)
+
+    if winner is None:
+        busy_us = max(s.collision_us for s in transmitters)
+    else:
+        busy_us = winner.success_us
+        flag = winner.retry_flag
+        ap_counters.observe_frame(flag)
+        for s in transmitters:
+            s.missed[flag] += 1
+
+    if slot_log is not None:
+        overlaps = len(transmitters) - 1
+        for s in transmitters:
+            slot_log(FrameRecord(now_us, s.id, s is winner, overlaps, s.retry_flag))
+
+    end = now_us + busy_us
+    for s in transmitters:
+        if s is winner:
+            s.resolve_success(end)
+        else:
+            s.resolve_failure(end)
+    return busy_us
+
+
+def _reference_run_slotted(stations, profile, capture, control, duration_us,
+                           slot_log=None):
+    """`run_slotted` that pops every transmitter of an event into a list and
+    pushes each back, lone or not."""
+    ap = control.ap
+    slot = profile.slot_time
+    t = 0
+    next_beacon = profile.beacon_interval
+
+    idle = 0
+    fires = [(s.backoff_counter, s.id, s) for s in stations if s.backlogged]
+    heapq.heapify(fires)
+    arrivals = [(s.traffic.arrival_us, s.id, s) for s in stations if not s.backlogged]
+    heapq.heapify(arrivals)
+
+    while next_beacon <= duration_us:
+        if t >= next_beacon:
+            control.beacon_update(next_beacon // 1000, stations, repeat((ap.r0, ap.r1)))
+            t += profile.beacon_airtime + profile.aifs
+            next_beacon += profile.beacon_interval
+            continue
+
+        while arrivals and arrivals[0][0] <= t:
+            s = heapq.heappop(arrivals)[2]
+            s.activate()
+            heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
+        horizon = min(next_beacon, arrivals[0][0]) if arrivals else next_beacon
+
+        if not fires:
+            t = horizon
+            continue
+
+        wait = fires[0][0] - idle
+        if wait > 0:
+            if t + wait * slot >= horizon:
+                jump = math.ceil((horizon - t) / slot)
+                idle += jump
+                t += jump * slot
+                continue
+            idle += wait
+            t += wait * slot
+
+        transmitters = []
+        while fires and fires[0][0] == idle:
+            s = heapq.heappop(fires)[2]
+            s.backoff_counter = 0
+            transmitters.append(s)
+        t += _reference_run_slot(transmitters, capture, ap, t, slot_log)
+        for s in transmitters:
+            if s.backlogged:
+                heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
+            else:
+                heapq.heappush(arrivals, (s.traffic.arrival_us, s.id, s))
+
+    for fire, _, s in fires:
+        s.backoff_counter = fire - idle
+    return RunResult.from_stations(stations, control.records, duration_us)
+
+
+@st.composite
+def slotted_scenarios(draw):
+    """Fully connected runs of 1 to 12 stations, 1 to 2 s, saturated or with
+    bursts and silences short enough to end several times in a run."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    return Scenario(
+        snr_db=tuple(draw(st.lists(st.sampled_from((40.0, 35.0, 30.0, 25.0, 20.0)),
+                                   min_size=n, max_size=n))),
+        controller=draw(st.sampled_from(CONTROLLERS)),
+        capture_mode=draw(st.sampled_from(CAPTURE_MODES)),
+        static_cw=draw(st.sampled_from((4, 16, 64))),
+        static_beb=draw(st.booleans()),
+        traffic=draw(st.sampled_from(TRAFFIC_KINDS)),
+        burst_bytes=draw(st.integers(1500, 60_000)),
+        silent_mean_s=draw(st.sampled_from((0.01, 0.05, 0.2))),
+        duration_s=draw(st.integers(10, 20)) / 10, replications=1,
+        seed=draw(st.integers(0, 10_000)), name="prop")
+
+
+def _slotted_frames_and_result(engine, sc):
+    """The FrameRecords and the RunResult of replication 0 of `sc` on the
+    slotted loop `engine`."""
+    control = ControlPlane(sc)
+    stations = _build_stations(sc, sc.seed, control)
+    capture = CaptureModel(mode=sc.capture_mode, threshold_db=sc.capture_threshold_db)
+    frames = []
+    res = engine(stations, control.profile, capture, control, sc.duration_us,
+                 slot_log=frames.append)
+    return frames, res
+
+
+class TestLoneTransmitterPath:
+    # The slotted loop's lone transmitter takes a path of its own in both
+    # `run_slotted` and `run_slot`; the reference takes the general one.
+    @settings(max_examples=40, deadline=None)
+    @given(slotted_scenarios())
+    @example(Scenario(snr_db=(30.0,) * 12, controller="edca-static", static_cw=4,
+                      static_beb=False, duration_s=1.0, replications=1, seed=1,
+                      name="prop"))
+    def test_matches_the_reference_loop(self, sc):
+        assert _slotted_frames_and_result(run_slotted, sc) == \
+            _slotted_frames_and_result(_reference_run_slotted, sc)
 
 
 class TestClosedLoop:
