@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .controllers import CONTROLLERS
@@ -18,12 +19,15 @@ from .phy import BUILTIN_PROFILES, MAX_MSDU_BYTES, get_profile
 from .scenario import PRESETS, ConfigError, Scenario, emit_scenario, get_preset, load_scenario
 
 
-def _resolve_scenario(ref: str) -> Scenario:
+def _resolve_scenario(flag: str, ref: str) -> Scenario:
     if ref in PRESETS:
         return get_preset(ref)
-    if os.path.exists(ref):
+    if not os.path.isfile(ref):
+        raise ConfigError(flag, f"{ref!r} is neither a preset nor a file")
+    try:
         return load_scenario(ref)
-    raise ConfigError("scenario", f"{ref!r} is neither a preset nor a file")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(flag, f"{ref!r} is not UTF-8 text: {exc.reason}") from None
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -37,13 +41,31 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **changes)
 
 
-def _refuse_unwritable(flag: str, path: str, directory: bool) -> None:
-    """Before anything runs, refuse a `path` that `flag` could not write."""
-    if os.path.exists(path) and os.path.isdir(path) != directory or (
-            not directory and path.endswith(os.sep)):
-        raise ConfigError(flag, f"{path!r} is {'not ' if directory else ''}a directory")
-    if os.path.isfile(os.path.dirname(os.path.abspath(path))):
-        raise ConfigError(flag, f"the parent of {path!r} is a file")
+def _refuse_unwritable(writes) -> None:
+    """Before anything is run or written, refuse each `(flag, path,
+    is_directory)` of `writes`, all that a command writes, whose path exists
+    as the other kind (or, for a file, ends in a separator, `.` or `..`),
+    lies under a file, or is a file an earlier entry writes too. What
+    earlier entries write, and the directories they make, count as existing."""
+    made = {}   # realpath -> is_directory
+    for flag, path, directory in writes:
+        # Walk up the path as given, which the system resolves one component
+        # at a time (`f/..` fails when `f` is a file), to the nearest path
+        # that exists or that an earlier entry writes.
+        walk = [os.path.join(os.getcwd(), path)]
+        while os.path.realpath(walk[-1]) not in made and not os.path.exists(walk[-1]):
+            walk.append(os.path.dirname(walk[-1]))
+        real, nearest = os.path.realpath(walk[0]), os.path.realpath(walk[-1])
+        is_dir = made[nearest] if nearest in made else os.path.isdir(nearest)
+        if real in made and not (directory and is_dir):
+            raise ConfigError(flag, f"{path!r} is also written by this command")
+        if real == nearest and is_dir != directory or (
+                not directory and os.path.basename(path) in ("", ".", "..")):
+            raise ConfigError(flag, f"{path!r} is {'not ' if directory else ''}a directory")
+        if not is_dir and real != nearest:
+            raise ConfigError(flag, f"{path!r} lies under the file {nearest!r}")
+        made.update(dict.fromkeys(map(os.path.realpath, walk[1:-1]), True))   # dirs it makes
+        made[real] = directory
 
 
 def _open_for_writing(path: str):
@@ -55,23 +77,13 @@ def _open_for_writing(path: str):
 
 
 def cmd_run(args) -> int:
-    scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
-    _refuse_unwritable("out", args.out, directory=True)
-    trace_fh = slot_log = None
-    if args.slot_trace:
-        _refuse_unwritable("slot-trace", args.slot_trace, directory=False)
-        outputs = {os.path.realpath(os.path.join(args.out, n)) for n in OUTPUT_NAMES}
-        if os.path.realpath(args.slot_trace) in outputs:
-            raise ConfigError("slot-trace", f"{args.slot_trace!r} is an output the "
-                              f"run writes under --out {args.out!r}")
-        trace_fh = _open_for_writing(args.slot_trace)
-        slot_log = slot_trace_writer(trace_fh)
-
-    try:
-        result = run_experiment(scenario, jobs=args.jobs, slot_log=slot_log)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    scenario = _apply_overrides(_resolve_scenario("scenario", args.scenario), args)
+    _refuse_unwritable([("out", args.out, True)]
+                       + [("out", os.path.join(args.out, n), False) for n in OUTPUT_NAMES]
+                       + [("slot-trace", args.slot_trace, False)] * bool(args.slot_trace))
+    with _open_for_writing(args.slot_trace) if args.slot_trace else nullcontext() as fh:
+        result = run_experiment(scenario, jobs=args.jobs,
+                                slot_log=slot_trace_writer(fh) if fh else None)
     paths = emit_outputs(result, args.out)
     jfi = result.jain_mean()
     drops = sum(sum(r.drops.values()) for r in result.runs)
@@ -89,12 +101,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _apply_overrides(_resolve_scenario(args.base), args)
-    _refuse_unwritable("out", args.out, directory=True)
-    rows = sweep(base, args.axis, args.values, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
+    base = _apply_overrides(_resolve_scenario("base", args.base), args)
     table = os.path.join(args.out, "sweep.csv")
-    with open(table, "w", encoding="utf-8", newline="\n") as fh:
+    _refuse_unwritable([("out", args.out, True), ("out", table, False)])
+    rows = sweep(base, args.axis, args.values, jobs=args.jobs)
+    with _open_for_writing(table) as fh:
         fh.write("axis,value,total_mbps_mean,total_mbps_std,jfi_mean\n")
         for value, res in rows:
             jfi = res.jain_mean()
@@ -108,8 +119,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     profile = get_profile(args.profile)
-    out = _open_for_writing(args.out) if args.out else sys.stdout
-    try:
+    _refuse_unwritable([("out", args.out, False)] * bool(args.out))
+    with _open_for_writing(args.out) if args.out else nullcontext(sys.stdout) as out:
         out.write("n,cw_min,tau,p,throughput_mbps\n")
         for n in args.n:
             for cw in cw_grid(profile):
@@ -117,10 +128,8 @@ def cmd_oracle(args) -> int:
                                         profile, args.payload)
                 out.write(f"{n},{cw},{sol.tau:.8f},{sol.p:.8f},"
                           f"{sol.throughput:.6f}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-            print(f"wrote {args.out}")
+    if args.out:
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -155,26 +164,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="802.11 EDCA simulator with adaptive contention-window control")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a scenario file or preset")
+    # The flags `run` and `sweep` share.
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--out", default="out")
+    experiment.add_argument("--seed", type=int, default=None)
+    experiment.add_argument("--replications", type=int, default=None)
+    experiment.add_argument("--jobs", type=_int_in(1), default=1)
+
+    p_run = sub.add_parser("run", parents=[experiment],
+                           help="run a scenario file or preset")
     p_run.add_argument("scenario")
-    p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--replications", type=int, default=None)
     p_run.add_argument("--controller", choices=CONTROLLERS, default=None)
-    p_run.add_argument("--jobs", type=_int_in(1), default=1)
     p_run.add_argument("--slot-trace", default=None, metavar="FILE",
                        help="write one CSV row per transmitted data frame of "
                             "the first replication")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run one experiment per axis value")
+    p_sweep = sub.add_parser("sweep", parents=[experiment],
+                             help="run one experiment per axis value")
     p_sweep.add_argument("--base", required=True, help="scenario file or preset")
     p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("--values", nargs="+", required=True)
-    p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--replications", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=_int_in(1), default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="emit the CW-vs-throughput model grid")

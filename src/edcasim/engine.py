@@ -59,8 +59,8 @@ class RunResult:
             throughput_mbps=thr,
             total_mbps=sum(thr.values()),
             records=records,
-            transfer_delays_us={s.id: list(s.traffic.transfer_delays_us)
-                                for s in stations},
+            transfer_delays_us={s.id: [] if s.saturated else
+                                list(s.traffic.transfer_delays_us) for s in stations},
             drops={s.id: s.drops for s in stations},
             attempts={s.id: s.attempts for s in stations},
             successes={s.id: s.successes for s in stations},

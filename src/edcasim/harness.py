@@ -40,15 +40,15 @@ def _build_stations(scenario: Scenario, run_seed: int,
     for idx, snr in enumerate(scenario.snr_db, start=1):
         if scenario.snr_jitter_db > 0:
             snr = snr + jitter_rng.gauss(0.0, scenario.snr_jitter_db)
-        traffic = TrafficSource(
-            scenario.traffic, scenario.payload_bytes,
-            rng=_station_rng(run_seed, idx, "traffic"),
-            burst_bytes=scenario.burst_bytes,
-            silent_mean_s=scenario.silent_mean_s)
+        traffic = (TrafficSource(scenario.payload_bytes,
+                                 _station_rng(run_seed, idx, "traffic"),
+                                 scenario.burst_bytes, scenario.silent_mean_s)
+                   if scenario.traffic == "onoff" else None)
         stations.append(Station(
             station_id=idx, snr_db=snr, profile=control.profile,
             rng=_station_rng(run_seed, idx, "mac"),
-            traffic=traffic, cw_min=control.start_cw, beb=control.beb))
+            payload_bytes=scenario.payload_bytes, cw_min=control.start_cw,
+            beb=control.beb, traffic=traffic))
     return stations
 
 

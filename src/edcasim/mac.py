@@ -61,18 +61,15 @@ TRAFFIC_KINDS = ("saturated", "onoff")
 
 
 class TrafficSource:
-    """Frame supply for one station: saturated, or on/off bursts."""
+    """On/off frame supply for one station; a saturated station has none."""
 
-    def __init__(self, kind: str, payload_bytes: int, rng=None,
-                 burst_bytes: int = 0, silent_mean_s: float = 0.0):
-        self.kind = kind
-        self.payload_bytes = payload_bytes
+    def __init__(self, payload_bytes: int, rng, burst_bytes: int,
+                 silent_mean_s: float):
         self.rng = rng
-        self.burst_frames = max(1, math.ceil(burst_bytes / payload_bytes)) \
-            if kind == "onoff" else 0
+        self.burst_frames = math.ceil(burst_bytes / payload_bytes)
         self.silent_mean_us = silent_mean_s * 1e6
         self.frames_left = self.burst_frames
-        self.arrival_us: int | None = 0 if kind == "onoff" else None
+        self.arrival_us: int | None = 0
         self.transfer_start: int | None = None
         self.transfer_delays_us: list[int] = []
 
@@ -102,15 +99,16 @@ class Station:
     """Mutable per-station MAC state."""
 
     def __init__(self, station_id: int, snr_db: float, profile: PhyProfile,
-                 rng, traffic: TrafficSource, cw_min: int, beb: bool = True):
+                 rng, payload_bytes: int, cw_min: int, beb: bool = True,
+                 traffic: TrafficSource | None = None):
         self.id = station_id
         self.snr_db = snr_db
         self.profile = profile
         self._getrandbits = rng.getrandbits
+        # None for a saturated station, which never runs dry.
         self.traffic = traffic
-        # Saturated traffic never runs dry, so a frame that ends skips it.
-        self.saturated = traffic.kind == "saturated"
-        self.payload_bytes = traffic.payload_bytes
+        self.saturated = traffic is None
+        self.payload_bytes = payload_bytes
         # Whole-microsecond airtimes of this station's frame, fixed per run.
         self.success_us = int(round(success_duration(profile, self.payload_bytes)))
         self.collision_us = int(round(collision_duration(profile, self.payload_bytes)))

@@ -11,7 +11,7 @@ from edcasim.controllers import (CONTROLLERS, ControllerState, PiGains, cac_erro
 from edcasim.engine import ControlPlane, IntervalRecord, run_slotted
 from edcasim.estimators import estimate_p_obs, estimate_p_own
 from edcasim.harness import _build_stations
-from edcasim.mac import CaptureModel, Station, TrafficSource, effective_cw_max
+from edcasim.mac import CaptureModel, Station, effective_cw_max
 from edcasim.phy import PROFILE_80211A_24, PhyProfile, collision_duration
 from edcasim.scenario import Scenario
 
@@ -330,7 +330,7 @@ class TestIntervalGains:
     def plane_and_station():
         sc = Scenario(snr_db=(30.0,), controller="edca-static")
         station = Station(1, 30.0, sc.phy(), random.Random(1),
-                          TrafficSource("saturated", 1500), 16)
+                          1500, 16)
         return ControlPlane(sc), station
 
     def test_interval_deltas(self):
@@ -480,7 +480,7 @@ class TestFusedBeaconPass:
         sides = []
         for _ in range(2):
             stations = [Station(i, 30.0, profile, random.Random(i),
-                                TrafficSource("saturated", 1500), cw, beb)
+                                1500, cw, beb)
                         for i, (cw, beb) in enumerate(zip(run["windows"], run["bebs"]), 1)]
             sides.append((ControlPlane(sc), stations))
         (fused, fused_stations), (reference, reference_stations) = sides

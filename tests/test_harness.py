@@ -1,14 +1,23 @@
 import concurrent.futures
+import contextlib
 import dataclasses
+import functools
+import io
 import math
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import edcasim.cli
+import edcasim.harness
 from edcasim.cli import main as cli_main
 from edcasim.engine import ControlPlane
-from edcasim.harness import (SUMMARY_HEADER, _build_stations, emit_outputs, jain_index,
-                             run_experiment, sweep)
+from edcasim.harness import (OUTPUT_NAMES, SUMMARY_HEADER, _build_stations, emit_outputs,
+                             jain_index, run_experiment, sweep)
 from edcasim.mac import FrameRecord
 from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
                               load_scenario)
@@ -497,9 +506,108 @@ class TestCli:
         assert cli_main(["presets", "--list"]) == 3
         assert "runtime error" in capsys.readouterr().err
 
+    def test_scenario_that_is_not_a_file_is_refused(self, tmp_path, capsys):
+        binary = tmp_path / "bin.cfg"
+        binary.write_bytes(b"\xff\xfe\x00snr_db = 30")
+        for argv, flag in [(["run", str(tmp_path)], "scenario"),
+                           (["run", str(binary)], "scenario"),
+                           (["sweep", "--base", str(tmp_path)], "base"),
+                           (["sweep", "--base", "nope"], "base")]:
+            if argv[0] == "sweep":
+                argv += ["--axis", "controller", "--values", "cac"]
+            assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+            assert f"configuration error: {flag}:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bin.cfg"]
+
     def test_sweep_cli(self, tmp_path):
         code = cli_main(["sweep", "--base", "fig10_hidden", "--axis",
                          "controller", "--values", "edca-static",
                          "--replications", "1", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "sweep.csv").exists()
+
+
+# Each writing flag, with the argv that gives it a path (`{root}` is the
+# directory the property runs in). The command's other writing flag, if it
+# has one, writes to a fresh path.
+WRITING_FLAGS = {
+    "run --out": ["run", "fig7_udp_total", "--slot-trace", "{root}/frames.csv", "--out"],
+    "run --slot-trace": ["run", "fig7_udp_total", "--out", "{root}/o/run", "--slot-trace"],
+    "sweep --out": ["sweep", "--base", "fig7_udp_total", "--axis", "controller",
+                    "--values", "cac", "--out"],
+    "oracle --out": ["oracle", "--n", "2", "--out"],
+}
+# Paths that the command's other writes take, or lie under or above; `run`
+# lists `--slot-trace` last, so the clash is refused under that flag.
+CLASHES = {
+    "run --out": ["frames.csv", "frames.csv/x"],
+    "run --slot-trace": ["o", "o/run", "o/run/summary.csv/x",
+                         *(f"o/run/{n}" for n in OUTPUT_NAMES)],
+}
+
+
+@functools.cache
+def _stub_result():
+    return run_experiment(tiny_scenario(replications=1, duration_s=1.0))
+
+
+@st.composite
+def writing_flags_and_paths(draw):
+    """A writing flag, a shape and a path of that shape, relative to a
+    directory that holds the file `f`, the directory `d` and an earlier
+    run's outputs under `prev`."""
+    flag = draw(st.sampled_from(sorted(WRITING_FLAGS)))
+    shape = draw(st.sampled_from(["file", "directory", "separator", "under a file",
+                                  "fresh", "earlier output"]
+                                 + ["clash"] * (flag in CLASHES)))
+    parts = st.lists(st.sampled_from(["a", "b.csv"]), min_size=1, max_size=3)
+    path = {
+        "file": lambda: "f",
+        "directory": lambda: "d",
+        "separator": lambda: os.path.join(draw(st.sampled_from(["f", "d", "new", "d/new"])),
+                                          draw(st.sampled_from(["", ".", ".."]))),
+        "under a file": lambda: os.path.join("f", *draw(parts)),
+        "fresh": lambda: os.path.join(draw(st.sampled_from(["new", "d"])), *draw(parts)),
+        "earlier output": lambda: draw(st.sampled_from(
+            ["prev", "prev/summary.csv", "prev/trace.csv/x"])),
+        "clash": lambda: draw(st.sampled_from(CLASHES[flag])),
+    }[shape]()
+    return flag, shape, path
+
+
+class TestWritePaths:
+    """Every path a command writes is checked before anything runs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(writing_flags_and_paths())
+    @example(("run --out", "under a file", "f/a/b"))
+    @example(("oracle --out", "directory", "d"))
+    @example(("run --out", "separator", "f/.."))
+    @example(("run --out", "clash", "frames.csv/x"))
+    @example(("run --slot-trace", "clash", "o/run/summary.csv"))
+    def test_exit_0_or_2_naming_the_flag_with_nothing_written(self, drawn):
+        # Exit 0, or exit 2 naming the flag with no new entry on disk; never
+        # exit 3. A fresh path is written, and a clash is refused.
+        flag, shape, path = drawn
+        result = _stub_result()
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch.object(edcasim.cli, "run_experiment", lambda *a, **k: result), \
+                mock.patch.object(edcasim.harness, "run_experiment",
+                                  lambda *a, **k: result):
+            def entries():
+                return sorted(os.path.relpath(os.path.join(d, n), root)
+                              for d, dirs, files in os.walk(root) for n in dirs + files)
+            Path(root, "f").write_text("")
+            Path(root, "d").mkdir()
+            emit_outputs(result, os.path.join(root, "prev"))
+            before = entries()
+            argv = [a.format(root=root) for a in WRITING_FLAGS[flag]]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv + [os.path.join(root, path)])
+            assert code == {"fresh": 0, "clash": 2}.get(shape, code), err.getvalue()
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                named = "slot-trace" if shape == "clash" else flag.split("--")[1]
+                assert err.getvalue().startswith(f"configuration error: {named}:")
+                assert entries() == before

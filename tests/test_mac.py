@@ -27,7 +27,7 @@ NO_CAPTURE = CaptureModel(mode="none")
 def make_station(sid, snr=30.0, cw=16, beb=True, seed=99):
     return Station(station_id=sid, snr_db=snr, profile=PROFILE,
                    rng=random.Random(f"t/{seed}/{sid}"),
-                   traffic=TrafficSource("saturated", 1500),
+                   payload_bytes=1500,
                    cw_min=cw, beb=beb)
 
 
@@ -182,7 +182,7 @@ class TestCachedAirtimes:
     def station(sid, payload, snr=30.0):
         return Station(station_id=sid, snr_db=snr, profile=PROFILE,
                        rng=random.Random(sid),
-                       traffic=TrafficSource("saturated", payload), cw_min=16)
+                       payload_bytes=payload, cw_min=16)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2304))
@@ -252,7 +252,7 @@ class TestDrawMatchesRandrange:
         cw_max = effective_cw_max(cw_min, PROFILE.m_backoff_stages,
                                   PROFILE.cw_ceiling) if beb else cw_min
         s = Station(station_id=1, snr_db=30.0, profile=PROFILE, rng=rng,
-                    traffic=TrafficSource("saturated", 1500), cw_min=cw_min, beb=beb)
+                    payload_bytes=1500, cw_min=cw_min, beb=beb)
         assert s.backoff_counter == twin.randrange(cw_min)   # the draw at stage 0
         for r in retry_counts:
             s.retry_count = r
@@ -607,8 +607,8 @@ class TestBeaconInterval:
     def test_no_backlog_means_zero_counters_and_frozen_window(self):
         stations = [make_station(i) for i in range(1, 4)]
         for s in stations:
-            s.backlogged = False
-            s.traffic.kind = "onoff"
+            s.backlogged = s.saturated = False
+            s.traffic = TrafficSource(1500, random.Random(s.id), 1500, 1.0)
             s.traffic.arrival_us = 10**9   # far beyond the run
         control = control_plane("cac", stations)
         res = run_slotted(stations, PROFILE, NO_CAPTURE, control, 300_000)
@@ -638,7 +638,7 @@ class TestBeaconInterval:
         profile = replace(PROFILE_80211A_24, slot_time=10)
         station = Station(station_id=1, snr_db=30.0, profile=profile,
                           rng=random.Random("t/beacon"),
-                          traffic=TrafficSource("saturated", 1500), cw_min=16)
+                          payload_bytes=1500, cw_min=16)
         station.backoff_counter = profile.beacon_interval // profile.slot_time
         control = control_plane("edca-static", [station])
         frames = []
