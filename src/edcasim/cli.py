@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .controllers import CONTROLLERS
 from .harness import (OUTPUT_NAMES, SWEEP_AXES, emit_outputs, run_experiment,
-                      slot_trace_writer, sweep)
+                      slot_trace_writer, sweep, sweep_points)
 from .oracle import cw_grid, solve_fixed_point
 from .phy import BUILTIN_PROFILES, MAX_MSDU_BYTES, get_profile
 from .scenario import PRESETS, ConfigError, Scenario, emit_scenario, get_preset, load_scenario
@@ -43,12 +43,15 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 def _refuse_unwritable(writes) -> None:
     """Before anything is run or written, refuse each `(flag, path,
-    is_directory)` of `writes`, all that a command writes, whose path exists
-    as the other kind (or, for a file, ends in a separator, `.` or `..`),
-    lies under a file, or is a file an earlier entry writes too. What
-    earlier entries write, and the directories they make, count as existing."""
+    is_directory)` of `writes`, all that a command writes, whose path is
+    empty, exists as the other kind (or, for a file, ends in a separator,
+    `.` or `..`), lies under a file, or is a file an earlier entry writes
+    too. What earlier entries write, and the directories they make, count
+    as existing."""
     made = {}   # realpath -> is_directory
     for flag, path, directory in writes:
+        if not path:
+            raise ConfigError(flag, "the path is empty")
         # Walk up the path as given, which the system resolves one component
         # at a time (`f/..` fails when `f` is a file), to the nearest path
         # that exists or that an earlier entry writes.
@@ -68,6 +71,13 @@ def _refuse_unwritable(writes) -> None:
         made[real] = directory
 
 
+def _output_writes(outdir: str) -> list:
+    """The writes of `emit_outputs` into `outdir`, as `_refuse_unwritable`
+    takes them."""
+    return [("out", outdir, True)] + [("out", os.path.join(outdir, n), False)
+                                      for n in OUTPUT_NAMES]
+
+
 def _open_for_writing(path: str):
     """Open a CSV file for writing, creating its directory if need be."""
     parent = os.path.dirname(path)
@@ -78,10 +88,10 @@ def _open_for_writing(path: str):
 
 def cmd_run(args) -> int:
     scenario = _apply_overrides(_resolve_scenario("scenario", args.scenario), args)
-    _refuse_unwritable([("out", args.out, True)]
-                       + [("out", os.path.join(args.out, n), False) for n in OUTPUT_NAMES]
-                       + [("slot-trace", args.slot_trace, False)] * bool(args.slot_trace))
-    with _open_for_writing(args.slot_trace) if args.slot_trace else nullcontext() as fh:
+    traced = args.slot_trace is not None
+    _refuse_unwritable(_output_writes(args.out)
+                       + [("slot-trace", args.slot_trace, False)] * traced)
+    with _open_for_writing(args.slot_trace) if traced else nullcontext() as fh:
         result = run_experiment(scenario, jobs=args.jobs,
                                 slot_log=slot_trace_writer(fh) if fh else None)
     paths = emit_outputs(result, args.out)
@@ -95,7 +105,7 @@ def cmd_run(args) -> int:
           f"retry-limit drops {drops}")
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
-    if args.slot_trace:
+    if traced:
         print(f"wrote {args.slot_trace}")
     return 0
 
@@ -103,24 +113,29 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     base = _apply_overrides(_resolve_scenario("base", args.base), args)
     table = os.path.join(args.out, "sweep.csv")
-    _refuse_unwritable([("out", args.out, True), ("out", table, False)])
+    # Each point's outputs go under `<axis>_<value>/`.
+    point_dirs = [os.path.join(args.out, f"{args.axis}_{value}")
+                  for value, _ in sweep_points(base, args.axis, args.values)]
+    _refuse_unwritable([("out", args.out, True), ("out", table, False)]
+                       + [w for d in point_dirs for w in _output_writes(d)])
     rows = sweep(base, args.axis, args.values, jobs=args.jobs)
     with _open_for_writing(table) as fh:
         fh.write("axis,value,total_mbps_mean,total_mbps_std,jfi_mean\n")
-        for value, res in rows:
+        for (value, res), point_dir in zip(rows, point_dirs):
             jfi = res.jain_mean()
             fh.write(f"{args.axis},{value},{res.total_mean():.6f},"
                      f"{res.total_std():.6f},"
                      f"{'' if jfi is None else f'{jfi:.6f}'}\n")
-            emit_outputs(res, os.path.join(args.out, f"{args.axis}_{value}"))
+            emit_outputs(res, point_dir)
     print(f"wrote {table}")
     return 0
 
 
 def cmd_oracle(args) -> int:
     profile = get_profile(args.profile)
-    _refuse_unwritable([("out", args.out, False)] * bool(args.out))
-    with _open_for_writing(args.out) if args.out else nullcontext(sys.stdout) as out:
+    to_file = args.out is not None
+    _refuse_unwritable([("out", args.out, False)] * to_file)
+    with _open_for_writing(args.out) if to_file else nullcontext(sys.stdout) as out:
         out.write("n,cw_min,tau,p,throughput_mbps\n")
         for n in args.n:
             for cw in cw_grid(profile):
@@ -128,7 +143,7 @@ def cmd_oracle(args) -> int:
                                         profile, args.payload)
                 out.write(f"{n},{cw},{sol.tau:.8f},{sol.p:.8f},"
                           f"{sol.throughput:.6f}\n")
-    if args.out:
+    if to_file:
         print(f"wrote {args.out}")
     return 0
 

@@ -13,7 +13,7 @@ from itertools import repeat
 from .controllers import (ControllerState, PiGains, cac_step, compute_gains, compute_p_opt,
                           dac_step, initial_state)
 from .estimators import BeaconCounters, estimate_p_obs, estimate_p_own
-from .mac import CaptureModel, Station, run_slot
+from .mac import CaptureModel, Station, run_lone, run_slot
 from .phy import PhyProfile
 from .scenario import Scenario
 
@@ -193,11 +193,11 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     past the earliest arrival or the next beacon, and a countdown that runs
     out before then leads into its transmission in the same loop pass.
     Every station that does not transmit sniffs exactly the frames the AP
-    decodes, so `run_slot` notes only the AP's gains during a station's own
-    transmit events (`Station.missed`), and at each beacon the control
-    plane takes every station's sniffed tally as the AP's less those. So a
-    channel event costs O(transmitters) for both traffic kinds; only the
-    set-up, the beacons and the end visit every station.
+    decodes, so `run_lone` and `run_slot` note only the AP's gains during a
+    station's own transmit events (`Station.missed`), and at each beacon the
+    control plane takes every station's sniffed tally as the AP's less
+    those. So a channel event costs O(transmitters) for both traffic kinds;
+    only the set-up, the beacons and the end visit every station.
 
     `slot_log`, when given, receives a FrameRecord for every data frame.
     """
@@ -229,38 +229,32 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
         # Both lie ahead of `t`, so every idle jump is at least one slot.
         horizon = min(next_beacon, arrivals[0][0]) if arrivals else next_beacon
 
+        # Every lone transmitter before the horizon, in one call. It stops
+        # at a station whose burst ran dry, which then waits for its next
+        # arrival, and before a slot where two or more fire.
+        t, idle, dry = run_lone(fires, t, idle, horizon, slot, ap, slot_log)
+        if dry is not None:
+            heapq.heappush(arrivals, (dry.traffic.arrival_us, dry.id, dry))
+            continue
+        if t >= horizon:   # a lone frame ran onto the horizon
+            continue
         if not fires:
             t = horizon
             continue
 
         wait = fires[0][0] - idle
-        if wait > 0:
-            if t + wait * slot >= horizon:
-                # The jump reaches the horizon: stop at the first slot
-                # boundary at or past it, and let the next pass handle it.
-                jump = math.ceil((horizon - t) / slot)
-                idle += jump
-                t += jump * slot
-                continue
-            # The countdown ends before the horizon: transmit in this pass.
-            idle += wait
-            t += wait * slot
-
-        # Any other station that fires now lies under one of the root's two
-        # children, so they tell a lone transmitter: its next fire replaces
-        # it at the root with one heap operation. `run_slot` redraws every
-        # transmitter's counter, or leaves it idle until its next arrival.
-        n = len(fires)
-        if (n < 2 or fires[1][0] > idle) and (n < 3 or fires[2][0] > idle):
-            s = fires[0][2]
-            t += run_slot([s], capture, ap, t, slot_log)
-            if s.backlogged:
-                heapq.heapreplace(fires, (idle + s.backoff_counter, s.id, s))
-            else:
-                heapq.heappop(fires)
-                heapq.heappush(arrivals, (s.traffic.arrival_us, s.id, s))
+        if t + wait * slot >= horizon:
+            # The jump reaches the horizon: stop at the first slot boundary
+            # at or past it, and let the next pass handle it.
+            jump = math.ceil((horizon - t) / slot)
+            idle += jump
+            t += jump * slot
             continue
 
+        # Two or more fire before the horizon. `run_slot` redraws every
+        # transmitter's counter, or leaves it idle until its next arrival.
+        idle += wait
+        t += wait * slot
         transmitters = []
         while fires and fires[0][0] == idle:
             transmitters.append(heapq.heappop(fires)[2])

@@ -146,9 +146,9 @@ SWEEP_AXES = {
 }
 
 
-def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
-          ) -> list[tuple[object, ExperimentResult]]:
-    """One experiment per axis value, derived from the base scenario.
+def sweep_points(base: Scenario, axis: str, values: list) -> list[tuple[object, Scenario]]:
+    """The `(value, scenario)` point of each axis value, derived from the
+    base scenario and validated, none of them run.
 
     For the station-count axis, stations join in the configured order of link
     quality (ascending: worst link first).
@@ -169,9 +169,14 @@ def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
     # overwrite the outputs of the point before it.
     if len(set(parsed)) < len(parsed):
         raise ConfigError("values", f"repeated {axis} value in {values}")
-    # Building a point validates it, so every point is checked before any runs.
-    scenarios = [point(base, v) for v in parsed]
-    return [(v, run_experiment(sc, jobs=jobs)) for v, sc in zip(parsed, scenarios)]
+    # Building a point validates it.
+    return [(v, point(base, v)) for v in parsed]
+
+
+def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
+          ) -> list[tuple[object, ExperimentResult]]:
+    """One experiment per point of `sweep_points`, each checked before any runs."""
+    return [(v, run_experiment(sc, jobs=jobs)) for v, sc in sweep_points(base, axis, values)]
 
 
 # -- output emission ----------------------------------------------------------

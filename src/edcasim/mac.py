@@ -1,6 +1,6 @@
 """Station MAC state and the per-frame and per-interval protocol both
 engines drive it through, capture, traffic, the frame record both engines
-log, and the slotted channel step for a single collision domain.
+log, and the slotted channel steps for a single collision domain.
 
 In the slotted engine all stations share one slot clock, which is exact
 when every station hears every other (the hearing matrix is complete).
@@ -10,6 +10,7 @@ Scenarios with hidden stations run on the continuous-time engine in
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -104,7 +105,7 @@ class Station:
         self.id = station_id
         self.snr_db = snr_db
         self.profile = profile
-        self._getrandbits = rng.getrandbits
+        self.getrandbits = rng.getrandbits   # the backoff draws' bits
         # None for a saturated station, which never runs dry.
         self.traffic = traffic
         self.saturated = traffic is None
@@ -144,7 +145,7 @@ class Station:
         w = min(self.cw_min_current << self.retry_count, self.cw_max) \
             if self.retry_count else self.cw_min_current
         k = w.bit_length()
-        while (r := self._getrandbits(k)) >= w:
+        while (r := self.getrandbits(k)) >= w:
             pass
         self.backoff_counter = r
 
@@ -203,20 +204,10 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
     transmitter's `missed`: its sniffer was busy sending. When given,
     `slot_log` receives a FrameRecord for each transmitted frame.
     """
-    if len(transmitters) == 1:
-        s = transmitters[0]
-        s.note_attempt()
-        flag = s.retry_count > 0
-        ap_counters.observe_frame(flag)
-        s.missed[flag] += 1
-        if slot_log is not None:
-            slot_log(FrameRecord(now_us, s.id, True, 0, flag))
-        s.resolve_success(now_us + s.success_us)
-        return s.success_us
-
     for s in transmitters:
         s.note_attempt()
-    winner = resolve_capture(transmitters, capture)
+    winner = (transmitters[0] if len(transmitters) == 1
+              else resolve_capture(transmitters, capture))
 
     if winner is None:
         busy_us = max(s.collision_us for s in transmitters)
@@ -239,3 +230,53 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
         else:
             s.resolve_failure(end)
     return busy_us
+
+
+def run_lone(fires: list, t: int, idle: int, horizon: int, slot: int,
+             ap_counters: BeaconCounters, slot_log=None
+             ) -> tuple[int, int, Station | None]:
+    """Resolve the run of lone transmitters at the root of the slotted
+    loop's fire heap, `(fire slot, station id, station)`, and return the new
+    `(t, idle)` and the station whose burst ran dry, if any.
+
+    While the root fires before `horizon` and neither of its children fires
+    in the same slot, its frame is decoded: the clock advances to its start,
+    the station and the AP count it as `run_slot` would, and the station
+    draws its next counter as `draw_backoff` does (a success leaves it at
+    stage 0) and moves to its next fire with one `heapreplace`. A station
+    whose on/off burst runs dry leaves the heap and ends the run.
+    """
+    n = len(fires)   # each frame's `heapreplace` keeps it
+    while fires:
+        fire, sid, s = fires[0]
+        start = t + (fire - idle) * slot
+        # Any other station that fires in the same slot lies under one of
+        # the root's two children.
+        if start >= horizon or n > 1 and fires[1][0] == fire or (
+                n > 2 and fires[2][0] == fire):
+            break
+        idle = fire
+        retry = s.retry_count
+        if retry:
+            s.retries += 1
+            ap_counters.r1 += 1
+            s.missed[1] += 1
+        else:
+            ap_counters.r0 += 1
+            s.missed[0] += 1
+        if slot_log is not None:
+            slot_log(FrameRecord(start, sid, True, 0, retry > 0))
+        t = start + s.success_us
+        s.successes += 1
+        s.attempts += retry + 1
+        s.retry_count = 0
+        if not (s.saturated or s.traffic.consume_frame(t)):
+            s.backlogged = False
+            heapq.heappop(fires)
+            return t, idle, s
+        w = s.cw_min_current
+        k = w.bit_length()
+        while (r := s.getrandbits(k)) >= w:
+            pass
+        heapq.heapreplace(fires, (idle + r, sid, s))
+    return t, idle, None

@@ -611,3 +611,29 @@ class TestWritePaths:
                 named = "slot-trace" if shape == "clash" else flag.split("--")[1]
                 assert err.getvalue().startswith(f"configuration error: {named}:")
                 assert entries() == before
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "fig7_udp_total", "--out", ""], "out"),
+        (["run", "fig7_udp_total", "--slot-trace", ""], "slot-trace"),
+        (["oracle", "--n", "2", "--out", ""], "out"),
+        (["sweep", "--base", "fig7_udp_total", "--axis", "controller",
+          "--values", "cac", "--out", ""], "out"),
+        # The second point's directory is a file.
+        (["sweep", "--base", "fig7_udp_total", "--axis", "controller",
+          "--values", "dac", "cac", "--out", "taken"], "out"),
+    ])
+    def test_refused_before_anything_runs(self, tmp_path, monkeypatch, capsys,
+                                          argv, flag):
+        # An empty path, and a path a sweep point writes, exit 2 naming the
+        # flag before any replication runs, with nothing written.
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before the paths were checked")
+        monkeypatch.setattr(edcasim.cli, "run_experiment", no_run)
+        monkeypatch.setattr(edcasim.harness, "run_experiment", no_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken" / "controller_cac").write_text("")
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {flag}:")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) \
+            == ["taken", "taken/controller_cac"]

@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import math
 import random
+import sys
 from collections import defaultdict
 from dataclasses import replace
 from itertools import repeat
@@ -18,7 +19,7 @@ from edcasim.mac import (CAPTURE_MODES, TRAFFIC_KINDS, CaptureModel, FrameRecord
                          run_slot)
 from edcasim.oracle import solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24, collision_duration, success_duration
-from edcasim.scenario import Scenario
+from edcasim.scenario import Scenario, get_preset
 
 PROFILE = PROFILE_80211A_24
 NO_CAPTURE = CaptureModel(mode="none")
@@ -560,29 +561,65 @@ def slotted_scenarios(draw):
         seed=draw(st.integers(0, 10_000)), name="prop")
 
 
-def _slotted_frames_and_result(engine, sc):
-    """The FrameRecords and the RunResult of replication 0 of `sc` on the
-    slotted loop `engine`."""
+def _slotted_frames_and_result(engine, sc, logged=True):
+    """The FrameRecords (none unless `logged`) and the RunResult of
+    replication 0 of `sc` on the slotted loop `engine`."""
     control = ControlPlane(sc)
     stations = _build_stations(sc, sc.seed, control)
     capture = CaptureModel(mode=sc.capture_mode, threshold_db=sc.capture_threshold_db)
     frames = []
     res = engine(stations, control.profile, capture, control, sc.duration_us,
-                 slot_log=frames.append)
+                 slot_log=frames.append if logged else None)
     return frames, res
 
 
 class TestLoneTransmitterPath:
-    # The slotted loop's lone transmitter takes a path of its own in both
-    # `run_slotted` and `run_slot`; the reference takes the general one.
+    # `run_slotted` resolves each run of lone transmitters in one `run_lone`
+    # call, which logs its frames only when given a `slot_log`; the
+    # reference takes the general path for every event.
     @settings(max_examples=40, deadline=None)
     @given(slotted_scenarios())
     @example(Scenario(snr_db=(30.0,) * 12, controller="edca-static", static_cw=4,
                       static_beb=False, duration_s=1.0, replications=1, seed=1,
                       name="prop"))
+    # An on/off burst runs dry after other lone frames of the same run.
+    @example(Scenario(snr_db=(30.0,) * 3, controller="edca-static", static_cw=4,
+                      traffic="onoff", burst_bytes=6000, silent_mean_s=0.01,
+                      duration_s=1.0, replications=1, seed=0, name="prop"))
+    # A lone counter runs out on the slot that starts with a beacon.
+    @example(Scenario(snr_db=(30.0,) * 2, controller="edca-static", static_cw=4,
+                      duration_s=1.0, replications=1, seed=115, name="prop"))
     def test_matches_the_reference_loop(self, sc):
-        assert _slotted_frames_and_result(run_slotted, sc) == \
-            _slotted_frames_and_result(_reference_run_slotted, sc)
+        for logged in (True, False):
+            assert _slotted_frames_and_result(run_slotted, sc, logged) == \
+                _slotted_frames_and_result(_reference_run_slotted, sc, logged)
+
+
+class TestCallsPerAttempt:
+    """The slotted loop's cost, counted rather than timed: Python function
+    calls per resolved attempt of replication 0 of fig5, cut to 10 s. A lone
+    success makes no call of its own, so the count is the collisions' and
+    the beacons' (1.82 on CPython 3.10 to 3.13)."""
+
+    def test_fig5_makes_at_most_2_2_calls_per_attempt(self):
+        sc = replace(get_preset("fig5_cac_point_of_operation"), duration_s=10.0)
+        control = ControlPlane(sc)
+        stations = _build_stations(sc, sc.seed, control)
+        capture = CaptureModel(mode=sc.capture_mode, threshold_db=sc.capture_threshold_db)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            res = run_slotted(stations, control.profile, capture, control, sc.duration_us)
+        finally:
+            sys.setprofile(None)
+        attempts = sum(res.attempts.values())
+        assert attempts > 10_000
+        assert calls / attempts <= 2.2, (calls, attempts)
 
 
 class TestClosedLoop:
