@@ -12,8 +12,8 @@ from contextlib import nullcontext
 from dataclasses import replace
 
 from .controllers import CONTROLLERS
-from .harness import (OUTPUT_NAMES, SWEEP_AXES, emit_outputs, run_experiment,
-                      slot_trace_writer, sweep, sweep_points)
+from .harness import (OUTPUT_NAMES, SWEEP_AXES, TRACE_NAME, emit_outputs, run_experiment,
+                      slot_trace_writer, sweep, sweep_points, trace_writer)
 from .oracle import cw_grid, solve_fixed_point
 from .phy import BUILTIN_PROFILES, MAX_MSDU_BYTES, get_profile
 from .scenario import PRESETS, ConfigError, Scenario, emit_scenario, get_preset, load_scenario
@@ -72,7 +72,7 @@ def _refuse_unwritable(writes) -> None:
 
 
 def _output_writes(outdir: str) -> list:
-    """The writes of `emit_outputs` into `outdir`, as `_refuse_unwritable`
+    """The writes of a run's outputs into `outdir`, as `_refuse_unwritable`
     takes them."""
     return [("out", outdir, True)] + [("out", os.path.join(outdir, n), False)
                                       for n in OUTPUT_NAMES]
@@ -91,10 +91,13 @@ def cmd_run(args) -> int:
     traced = args.slot_trace is not None
     _refuse_unwritable(_output_writes(args.out)
                        + [("slot-trace", args.slot_trace, False)] * traced)
-    with _open_for_writing(args.slot_trace) if traced else nullcontext() as fh:
+    trace = os.path.join(args.out, TRACE_NAME)
+    with _open_for_writing(trace) as tfh, \
+            _open_for_writing(args.slot_trace) if traced else nullcontext() as fh:
         result = run_experiment(scenario, jobs=args.jobs,
-                                slot_log=slot_trace_writer(fh) if fh else None)
-    paths = emit_outputs(result, args.out)
+                                slot_log=slot_trace_writer(fh) if fh else None,
+                                trace=trace_writer(tfh))
+    paths = {**emit_outputs(result, args.out), TRACE_NAME: trace}
     jfi = result.jain_mean()
     drops = sum(sum(r.drops.values()) for r in result.runs)
     print(f"scenario {scenario.name}: {scenario.replications} replication(s), "
@@ -113,20 +116,24 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     base = _apply_overrides(_resolve_scenario("base", args.base), args)
     table = os.path.join(args.out, "sweep.csv")
+    points = sweep_points(base, args.axis, args.values)
     # Each point's outputs go under `<axis>_<value>/`.
-    point_dirs = [os.path.join(args.out, f"{args.axis}_{value}")
-                  for value, _ in sweep_points(base, args.axis, args.values)]
+    point_dirs = {value: os.path.join(args.out, f"{args.axis}_{value}")
+                  for value, _ in points}
     _refuse_unwritable([("out", args.out, True), ("out", table, False)]
-                       + [w for d in point_dirs for w in _output_writes(d)])
-    rows = sweep(base, args.axis, args.values, jobs=args.jobs)
+                       + [w for d in point_dirs.values() for w in _output_writes(d)])
     with _open_for_writing(table) as fh:
         fh.write("axis,value,total_mbps_mean,total_mbps_std,jfi_mean\n")
-        for (value, res), point_dir in zip(rows, point_dirs):
+
+        def done(value, res) -> None:
             jfi = res.jain_mean()
             fh.write(f"{args.axis},{value},{res.total_mean():.6f},"
                      f"{res.total_std():.6f},"
                      f"{'' if jfi is None else f'{jfi:.6f}'}\n")
-            emit_outputs(res, point_dir)
+            emit_outputs(res, point_dirs[value])
+
+        sweep(points, args.jobs, done=done,
+              trace_file=lambda v: _open_for_writing(os.path.join(point_dirs[v], TRACE_NAME)))
     print(f"wrote {table}")
     return 0
 

@@ -77,15 +77,16 @@ class RunResult:
 class ControlPlane:
     """Decides the window of stations 1..n: its start (`start_cw`, doubling
     if `beb`) and each beacon's commit. Keeps what it reads and writes: the
-    AP's interval tally (`ap`), each station's counters as read at the last
-    beacon (`marks`), and the run's trace records (`records`).
+    AP's interval tally (`ap`) and each station's counters as read at the
+    last beacon (`marks`). It hands each trace record to `trace`, when
+    given, as it makes it; else it keeps the run's records (`records`).
 
     mode "cac": one controller at the AP, window broadcast to every station.
     mode "dac": one controller per station, committed locally.
     mode "edca-static": no adaptation; estimates are still traced.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, trace=None):
         self.mode = mode = scenario.controller
         self.profile = profile = scenario.phy()
         self.p_opt = compute_p_opt(profile, scenario.payload_bytes)
@@ -112,6 +113,7 @@ class ControlPlane:
         # station id -> its (successes, retries, drops) at the last beacon
         self.marks = dict.fromkeys(ids, (0, 0, 0))
         self.records: list[IntervalRecord] = []
+        self.trace = self.records.append if trace is None else trace
         self._names = {i: f"sta{i}" for i in ids}   # trace node names
 
     def _record_step(self, t_ms: int, node: str, p_obs: float | None,
@@ -123,7 +125,7 @@ class ControlPlane:
         cw = new.cw_quantized
         if cw in (new.cw_floor, new.cw_ceiling):
             self.cw_cap_hits += 1
-        self.records.append(IntervalRecord(
+        self.trace(IntervalRecord(
             t_ms, node, p_obs, p_own, new.prev_error if new is not old else None,
             new.cw_real, cw))
         return cw
@@ -131,8 +133,8 @@ class ControlPlane:
     def beacon_update(self, t_ms: int, stations: list[Station], heard) -> None:
         """Close the interval: take each station's gains since the last
         beacon, step the controllers on the interval's estimates, commit
-        their windows, and append the interval's records to `records`: the
-        AP's, then one per station in `stations` order.
+        their windows, and hand the interval's records to `trace`: the AP's,
+        then one per station in `stations` order.
 
         `heard` yields each station's vantage tally, `(r0, r1)` in `stations`
         order; a station's sniffer heard it less its `missed`, which is then
@@ -141,7 +143,7 @@ class ControlPlane:
         takes one pass: its gains, its estimates, its step, its commit and
         its record."""
         min_samples, max_retry, p_opt = self.min_samples, self.profile.max_retry, self.p_opt
-        names, states, marks, records = self._names, self.dac_states, self.marks, self.records
+        names, states, marks, trace = self._names, self.dac_states, self.marks, self.trace
         dac = self.mode == "dac"
         ap = self.ap
         ap_p_obs = estimate_p_obs(ap.r0, ap.r1, min_samples)
@@ -152,7 +154,7 @@ class ControlPlane:
             self.cac_state = new = cac_step(ap_p_obs, old, p_opt)
             announced = self._record_step(t_ms, "ap", ap_p_obs, None, old, new)
         else:
-            records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
+            trace(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
 
         for s, (r0, r1) in zip(stations, heard):
             missed, sniffed = s.missed, s.sniffed
@@ -174,8 +176,8 @@ class ControlPlane:
             else:
                 if announced is not None:
                     s.commit_cw_min(announced)
-                records.append(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
-                                              None, None, s.cw_min_current))
+                trace(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
+                                     None, None, s.cw_min_current))
 
 
 def run_slotted(stations: list[Station], profile: PhyProfile,

@@ -52,9 +52,10 @@ def _build_stations(scenario: Scenario, run_seed: int,
     return stations
 
 
-def run_once(scenario: Scenario, rep: int, slot_log=None) -> RunResult:
-    """One seeded replication; deterministic given (scenario, rep)."""
-    control = ControlPlane(scenario)
+def run_once(scenario: Scenario, rep: int, slot_log=None, trace=None) -> RunResult:
+    """One seeded replication; deterministic given (scenario, rep). With a
+    `trace` sink, its records go there and its `records` stay empty."""
+    control = ControlPlane(scenario, trace)
     stations = _build_stations(scenario, scenario.seed + rep, control)
     capture = CaptureModel(mode=scenario.capture_mode,
                            threshold_db=scenario.capture_threshold_db)
@@ -94,26 +95,34 @@ class ExperimentResult:
         return sum(js) / len(js)
 
 
-def run_experiment(scenario: Scenario, jobs: int = 1,
-                   slot_log=None) -> ExperimentResult:
+def _discard(record: IntervalRecord) -> None:
+    """The trace sink of the replications after a streamed first one."""
+
+
+def run_experiment(scenario: Scenario, jobs: int = 1, slot_log=None,
+                   trace=None) -> ExperimentResult:
     """Run `replications` independent seeded replications and aggregate.
 
     Results are reduced in replication order regardless of completion order,
-    so the output is identical for any job count. A slot_log callback, when
-    given, traces the first replication only; with several jobs, that
-    replication runs in this process while the pool runs the others.
+    so the output is identical for any job count. A slot_log callback and a
+    trace sink, when given, take the first replication's frames and records
+    as it runs; with several jobs, that replication runs in this process
+    while the pool runs the others. With a trace sink, no run keeps its
+    records.
     """
-    reps = list(range(scenario.replications))
-    if jobs > 1 and len(reps) > 1:
+    others = range(1, scenario.replications)
+    others_trace = None if trace is None else _discard
+    if jobs > 1 and others:
         # Imported here: it is a third of the package's import time, and
         # serial runs never need it.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(reps) - 1)) as pool:
-            rest = pool.map(run_once, repeat(scenario), reps[1:])
-            runs = [run_once(scenario, 0, slot_log=slot_log), *rest]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(others))) as pool:
+            rest = pool.map(run_once, repeat(scenario), others, repeat(None),
+                            repeat(others_trace))
+            runs = [run_once(scenario, 0, slot_log, trace), *rest]
     else:
-        runs = [run_once(scenario, r, slot_log=slot_log if r == 0 else None)
-                for r in reps]
+        runs = [run_once(scenario, 0, slot_log, trace),
+                *(run_once(scenario, r, trace=others_trace) for r in others)]
     return ExperimentResult(scenario=scenario, runs=runs)
 
 
@@ -173,15 +182,21 @@ def sweep_points(base: Scenario, axis: str, values: list) -> list[tuple[object, 
     return [(v, point(base, v)) for v in parsed]
 
 
-def sweep(base: Scenario, axis: str, values: list, jobs: int = 1
-          ) -> list[tuple[object, ExperimentResult]]:
-    """One experiment per point of `sweep_points`, each checked before any runs."""
-    return [(v, run_experiment(sc, jobs=jobs)) for v, sc in sweep_points(base, axis, values)]
+def sweep(points: list[tuple[object, Scenario]], jobs: int, trace_file, done) -> None:
+    """Run the `(value, scenario)` points that `sweep_points` built and
+    checked, in order. Each point's trace streams, as `trace_writer` writes
+    it, to the file that `trace_file(value)` opens, and its `(value, result)`
+    goes to `done` as the point ends; no result is kept.
+    """
+    for value, scenario in points:
+        with trace_file(value) as fh:
+            done(value, run_experiment(scenario, jobs=jobs, trace=trace_writer(fh)))
 
 
 # -- output emission ----------------------------------------------------------
 
-OUTPUT_NAMES = ("summary.csv", "trace.csv", "scenario.lock")   # what emit_outputs writes
+TRACE_NAME = "trace.csv"   # what trace_writer writes, as the run goes
+OUTPUT_NAMES = ("summary.csv", TRACE_NAME, "scenario.lock")   # what a run writes
 SUMMARY_HEADER = "scenario,seed,station,snr_db,throughput_mbps,jfi"
 TRACE_HEADER = ",".join(f.name for f in fields(IntervalRecord))
 SLOT_TRACE_HEADER = ",".join(f.name for f in fields(FrameRecord))
@@ -199,10 +214,29 @@ def slot_trace_writer(fh):
     return write
 
 
+def trace_writer(fh):
+    """Write the trace header to `fh` and return a trace sink that writes
+    one row per IntervalRecord."""
+    fh.write(TRACE_HEADER + "\n")
+    write = fh.write
+
+    # Floats print with six decimals, integers as they are, None as nothing.
+    def write_record(r: IntervalRecord) -> None:
+        write(f"{r.t_ms},{r.node},{'' if r.p_obs is None else f'{r.p_obs:.6f}'},"
+              f"{'' if r.p_own is None else f'{r.p_own:.6f}'},"
+              f"{'' if r.error is None else f'{r.error:.6f}'},"
+              f"{'' if r.cw_real is None else f'{r.cw_real:.6f}'},"
+              f"{'' if r.cw_quantized is None else r.cw_quantized}\n")
+
+    return write_record
+
+
 def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
-    """Write summary.csv, trace.csv (first replication) and scenario.lock."""
+    """Write the outputs that need every replication, summary.csv and
+    scenario.lock, and return their paths; `trace_writer` writes trace.csv
+    during the run."""
     os.makedirs(outdir, exist_ok=True)
-    paths = {name: os.path.join(outdir, name) for name in OUTPUT_NAMES}
+    paths = {name: os.path.join(outdir, name) for name in OUTPUT_NAMES if name != TRACE_NAME}
     # Floats print with six decimals, integers as they are, None as nothing.
     try:
         scenario = result.scenario
@@ -213,15 +247,6 @@ def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:
                 for sid in run.station_ids:
                     fh.write(f"{scenario.name},{scenario.seed + rep},{sid},"
                              f"{run.snr_db[sid]:.6f},{run.throughput_mbps[sid]:.6f},{jfi}\n")
-        with open(paths["trace.csv"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            fh.writelines(
-                f"{r.t_ms},{r.node},{'' if r.p_obs is None else f'{r.p_obs:.6f}'},"
-                f"{'' if r.p_own is None else f'{r.p_own:.6f}'},"
-                f"{'' if r.error is None else f'{r.error:.6f}'},"
-                f"{'' if r.cw_real is None else f'{r.cw_real:.6f}'},"
-                f"{'' if r.cw_quantized is None else r.cw_quantized}\n"
-                for r in result.runs[0].records)
         with open(paths["scenario.lock"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(emit_scenario(scenario))
     except OSError as exc:

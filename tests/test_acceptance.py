@@ -8,12 +8,12 @@ import dataclasses
 import math
 import random
 import time
-from pathlib import Path
 
 import pytest
 
 from edcasim.controllers import PiGains, compute_p_opt, pi_update, quantize_cw
-from edcasim.harness import emit_outputs, jain_index, run_experiment, run_once, sweep
+from edcasim.cli import main as cli_main
+from edcasim.harness import jain_index, run_experiment, run_once, sweep_points
 from edcasim.oracle import cw_targeted_by_p, optimal_cw_bruteforce, solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario, get_preset
@@ -226,9 +226,9 @@ def test_c08_network_size_sweep():
     values = list(range(2, 19))
     totals = {}
     for ctl in ("cac", "dac", "edca-static"):
-        rows = sweep(dataclasses.replace(base, controller=ctl),
-                     "n_stations", values)
-        totals[ctl] = {v: res.total_mean() for v, res in rows}
+        points = sweep_points(dataclasses.replace(base, controller=ctl),
+                              "n_stations", values)
+        totals[ctl] = {v: run_experiment(sc).total_mean() for v, sc in points}
     flat = {ctl: max(totals[ctl].values()) / min(totals[ctl].values())
             for ctl in ("cac", "dac")}
     decline = totals["edca-static"][18] / totals["edca-static"][2]
@@ -329,12 +329,11 @@ def _fresh_state(k_p, k_i, cw=5000.0):
 
 
 def test_c11_determinism(tmp_path):
-    preset = get_preset("fig10_hidden")
-    a = emit_outputs(run_experiment(preset), str(tmp_path / "a"))
-    b = emit_outputs(run_experiment(preset), str(tmp_path / "b"))
+    for out in ("a", "b"):
+        assert cli_main(["run", "fig10_hidden", "--out", str(tmp_path / out)]) == 0
     same = {}
     for name in ("summary.csv", "trace.csv"):
-        same[name] = Path(a[name]).read_bytes() == Path(b[name]).read_bytes()
+        same[name] = (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     ok = all(same.values())
     assert report("11 (determinism)", ok,
                   f"byte-identical re-runs: {same}")

@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from edcasim.controllers import CONTROLLERS
 from edcasim.engine import ControlPlane, run_slotted
 from edcasim.eventmac import AP, EventEngine, hearing_classes
-from edcasim.harness import (ExperimentResult, _build_stations, emit_outputs, run_once,
-                             slot_trace_writer)
+from edcasim.harness import _build_stations, run_once, slot_trace_writer, trace_writer
 from edcasim.mac import CAPTURE_MODES, CaptureModel
 from edcasim.oracle import solve_fixed_point
 from edcasim.scenario import ConfigError, Scenario, hidden_node_visibility
@@ -177,7 +176,7 @@ class TestValidation:
 
 # Exact whole-run accounting of short event-engine runs, one per topology,
 # controller and capture mode: (attempts, successes, retries, drops,
-# delivered_bytes, sniffed_flags, number of trace records), then the sha256 of
+# delivered_bytes, sniffed_flags, number of trace rows), then the sha256 of
 # the slot-trace rows and of trace.csv, which pin the frame order.
 _GOLDEN_SCENARIOS = {
     "pair_cac_none": dict(snr_db=(31.0, 30.0), controller="cac",
@@ -350,17 +349,17 @@ class TestGolden:
     garbling, sniffing or event order moves these numbers."""
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
-    def test_exact_accounting(self, name, tmp_path):
+    def test_exact_accounting(self, name):
         sc = Scenario(duration_s=2.0, replications=1, name=name,
                       **_GOLDEN_SCENARIOS[name])
         assert not sc.is_fully_connected()
-        frames = io.StringIO()
-        res = run_once(sc, 0, slot_log=slot_trace_writer(frames))
-        emit_outputs(ExperimentResult(sc, [res]), str(tmp_path))
+        frames, trace = io.StringIO(), io.StringIO()
+        # The trace streams as the run goes, as `edcasim run` writes it.
+        res = run_once(sc, 0, slot_log=slot_trace_writer(frames), trace=trace_writer(trace))
         got = (res.attempts, res.successes, res.retries, res.drops,
-               res.delivered_bytes, res.sniffed_flags, len(res.records),
+               res.delivered_bytes, res.sniffed_flags, trace.getvalue().count("\n") - 1,
                hashlib.sha256(frames.getvalue().encode()).hexdigest(),
-               hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest())
+               hashlib.sha256(trace.getvalue().encode()).hexdigest())
         assert got == _GOLDEN[name]
 
 

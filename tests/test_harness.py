@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 import edcasim.cli
 import edcasim.harness
 from edcasim.cli import main as cli_main
+from edcasim.controllers import CONTROLLERS
 from edcasim.engine import ControlPlane
 from edcasim.harness import (OUTPUT_NAMES, SUMMARY_HEADER, _build_stations, emit_outputs,
-                             jain_index, run_experiment, sweep)
+                             jain_index, run_experiment, sweep_points, trace_writer)
 from edcasim.mac import FrameRecord
 from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
                               load_scenario)
@@ -39,6 +40,25 @@ def both_engines(**kw):
 def throughputs(result):
     """Per replication, each station's throughput [Mbps]."""
     return [run.throughput_mbps for run in result.runs]
+
+
+def run_to(scenario, outdir) -> dict[str, str]:
+    """Run `scenario` with `edcasim run --out outdir` and return the path of
+    each file it wrote under `outdir`."""
+    cfg = Path(outdir).with_suffix(".cfg")
+    cfg.write_text(emit_scenario(scenario))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["run", str(cfg), "--out", str(outdir)]) == 0
+    return {name: os.path.join(outdir, name) for name in OUTPUT_NAMES}
+
+
+def records_trace(records) -> str:
+    """`records` as trace.csv holds them."""
+    out = io.StringIO()
+    write = trace_writer(out)
+    for record in records:
+        write(record)
+    return out.getvalue()
 
 
 class TestJain:
@@ -168,80 +188,88 @@ class TestSweep:
     def test_station_axis_ascending_adds_worst_links_first(self):
         base = tiny_scenario(snr_db=(40.0, 30.0, 20.0), replications=1,
                              controller="edca-static")
-        rows = sweep(base, "n_stations", [1, 2])
-        assert rows[0][1].scenario.snr_db == (20.0,)
-        assert rows[1][1].scenario.snr_db == (20.0, 30.0)
+        points = sweep_points(base, "n_stations", [1, 2])
+        assert points[0][1].snr_db == (20.0,)
+        assert points[1][1].snr_db == (20.0, 30.0)
 
     def test_station_axis_descending(self):
         base = tiny_scenario(snr_db=(40.0, 30.0, 20.0), replications=1,
                              station_add_order="descending")
-        rows = sweep(base, "n_stations", [2])
-        assert rows[0][1].scenario.snr_db == (40.0, 30.0)
+        points = sweep_points(base, "n_stations", [2])
+        assert points[0][1].snr_db == (40.0, 30.0)
 
     def test_controller_axis(self):
-        rows = sweep(tiny_scenario(replications=1), "controller",
-                     ["edca-static", "cac"])
-        assert [r[1].scenario.controller for r in rows] == ["edca-static", "cac"]
+        points = sweep_points(tiny_scenario(replications=1), "controller",
+                              ["edca-static", "cac"])
+        assert [sc.controller for _, sc in points] == ["edca-static", "cac"]
 
     def test_lambda_axis_sets_onoff(self):
-        rows = sweep(tiny_scenario(replications=1, duration_s=2.0), "lambda", [1.0])
-        sc = rows[0][1].scenario
+        sc = sweep_points(tiny_scenario(replications=1, duration_s=2.0),
+                          "lambda", [1.0])[0][1]
         assert sc.traffic == "onoff" and sc.silent_mean_s == 1.0
 
     def test_bad_axis_and_empty_values(self):
         with pytest.raises(ConfigError):
-            sweep(tiny_scenario(), "payload", [1])
+            sweep_points(tiny_scenario(), "payload", [1])
         with pytest.raises(ConfigError):
-            sweep(tiny_scenario(), "controller", [])
+            sweep_points(tiny_scenario(), "controller", [])
 
     def test_values_are_parsed_by_their_axis(self):
-        rows = sweep(tiny_scenario(replications=1), "capture_threshold", [10])
-        assert rows[0][0] == 10.0 and isinstance(rows[0][0], float)
-        assert rows[0][1].scenario.name == "tiny/thr10.0"
+        points = sweep_points(tiny_scenario(replications=1), "capture_threshold", [10])
+        assert points[0][0] == 10.0 and isinstance(points[0][0], float)
+        assert points[0][1].name == "tiny/thr10.0"
         with pytest.raises(ConfigError, match="'abc'") as err:
-            sweep(tiny_scenario(), "n_stations", ["abc"])
+            sweep_points(tiny_scenario(), "n_stations", ["abc"])
         assert err.value.field == "values"
 
-    def test_bad_point_fails_before_any_runs(self, monkeypatch):
-        import edcasim.harness
-        monkeypatch.setattr(edcasim.harness, "run_experiment",
-                            lambda *a, **k: pytest.fail("a point ran"))
-        with pytest.raises(ConfigError, match="capture_threshold_db"):
-            sweep(tiny_scenario(), "capture_threshold", [10, -1])
+    @staticmethod
+    def refused(tmp_path, monkeypatch, capsys, base, axis, values) -> str:
+        """Run `edcasim sweep` of `base` with every replication stubbed to
+        fail, check that it exits 2 with nothing written, and return its
+        error message."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a point ran")
+        monkeypatch.setattr(edcasim.cli, "run_experiment", no_run)
+        monkeypatch.setattr(edcasim.harness, "run_experiment", no_run)
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(emit_scenario(base))
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--base", str(cfg), "--axis", axis,
+                         "--values", *map(str, values), "--out", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_bad_point_fails_before_any_runs(self, tmp_path, monkeypatch, capsys):
+        err = self.refused(tmp_path, monkeypatch, capsys, tiny_scenario(),
+                           "capture_threshold", [10, -1])
+        assert err.startswith("configuration error: capture_threshold_db:")
 
     @pytest.mark.parametrize("axis,values", [("n_stations", ["2", "02"]),
                                              ("capture_threshold", [10, 10.0]),
                                              ("controller", ["cac", "dac", "cac"])])
-    def test_repeated_values_rejected_before_any_runs(self, monkeypatch, axis, values):
+    def test_repeated_values_rejected_before_any_runs(self, tmp_path, monkeypatch,
+                                                      capsys, axis, values):
         # each point writes under its value's name: a repeat would overwrite
-        import edcasim.harness
-        monkeypatch.setattr(edcasim.harness, "run_experiment",
-                            lambda *a, **k: pytest.fail("a point ran"))
-        with pytest.raises(ConfigError, match="repeated") as err:
-            sweep(tiny_scenario(), axis, values)
-        assert err.value.field == "values"
+        err = self.refused(tmp_path, monkeypatch, capsys, tiny_scenario(), axis, values)
+        assert err.startswith("configuration error: values:") and "repeated" in err
 
     @pytest.mark.parametrize("hidden", [dict(hidden_pairs=((2, 3),)),
                                         dict(hidden_from_ap=(1,)),
                                         dict(hidden_links=((1, 3),))],
                              ids=lambda kw: next(iter(kw)))
-    def test_station_axis_refuses_hidden_stations(self, monkeypatch, hidden):
+    def test_station_axis_refuses_hidden_stations(self, tmp_path, monkeypatch,
+                                                  capsys, hidden):
         # re-sorting the links would hand the hidden station numbers to
         # other stations, so no point runs
-        import edcasim.harness
-        monkeypatch.setattr(edcasim.harness, "run_experiment",
-                            lambda *a, **k: pytest.fail("a point ran"))
         base = tiny_scenario(allow_asymmetric=True, **hidden)
-        with pytest.raises(ConfigError) as err:
-            sweep(base, "n_stations", [3])
-        assert err.value.field == next(iter(hidden))
+        err = self.refused(tmp_path, monkeypatch, capsys, base, "n_stations", [3])
+        assert err.startswith(f"configuration error: {next(iter(hidden))}:")
 
 
 class TestOutputs:
     def test_files_schema_and_row_counts(self, tmp_path):
         sc = tiny_scenario()
-        res = run_experiment(sc)
-        paths = emit_outputs(res, str(tmp_path))
+        paths = run_to(sc, tmp_path / "out")
         summary = Path(paths["summary.csv"]).read_text().splitlines()
         assert summary[0] == SUMMARY_HEADER
         assert len(summary) == 1 + sc.replications * sc.n_stations
@@ -281,10 +309,62 @@ class TestOutputs:
 
     def test_byte_identical_reruns(self, tmp_path):
         sc = tiny_scenario(controller="dac")
-        a = emit_outputs(run_experiment(sc), str(tmp_path / "x"))
-        b = emit_outputs(run_experiment(sc), str(tmp_path / "y"))
+        a, b = run_to(sc, tmp_path / "x"), run_to(sc, tmp_path / "y")
         for name in ("summary.csv", "trace.csv", "scenario.lock"):
             assert Path(a[name]).read_bytes() == Path(b[name]).read_bytes()
+
+
+class TestStreamedTrace:
+    """A trace sink takes the first replication's records as the run makes
+    them, and no replication keeps its own."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("replications", [1, 3])
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_stream_is_the_kept_records_trace(self, controller, replications, jobs):
+        for sc in both_engines(controller=controller, replications=replications,
+                               duration_s=1.0):
+            kept = run_experiment(sc, jobs=jobs)
+            streamed = io.StringIO()
+            result = run_experiment(sc, jobs=jobs, trace=trace_writer(streamed))
+            assert all(run.records for run in kept.runs)
+            assert streamed.getvalue() == records_trace(kept.runs[0].records)
+            assert [run.records for run in result.runs] == [[]] * replications
+            assert throughputs(result) == throughputs(kept)
+
+    def test_sweep_streams_each_points_trace(self, tmp_path):
+        base = tiny_scenario(duration_s=1.0)
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(emit_scenario(base))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["sweep", "--base", str(cfg), "--axis", "controller",
+                             "--values", "cac", "dac", "--jobs", "2",
+                             "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "sweep.csv").read_text().count("\n") == 3
+        for value, point in sweep_points(base, "controller", ["cac", "dac"]):
+            written = tmp_path / "o" / f"controller_{value}"
+            assert sorted(p.name for p in written.iterdir()) == sorted(OUTPUT_NAMES)
+            assert (written / "trace.csv").read_text() \
+                == records_trace(run_experiment(point).runs[0].records)
+
+    def test_memory_does_not_grow_with_run_length(self, tmp_path):
+        # A 40-station DAC run writes 41 trace rows a beacon; none of them
+        # stays in memory once written.
+        import tracemalloc
+
+        def peak(duration_s: float) -> int:
+            sc = Scenario(snr_db=(30.0,) * 40, controller="dac", duration_s=duration_s,
+                          replications=1, seed=3, name="flat")
+            tracemalloc.start()
+            try:
+                run_to(sc, tmp_path / f"{duration_s:g}s")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2.0)   # warm-up: imports and first-use caches
+        short, long = peak(2.0), peak(20.0)
+        assert long <= short + 0.25 * 2 ** 20, (short, long)
 
 
 class TestDelayExperiment:
@@ -600,6 +680,7 @@ class TestWritePaths:
             Path(root, "f").write_text("")
             Path(root, "d").mkdir()
             emit_outputs(result, os.path.join(root, "prev"))
+            Path(root, "prev", "trace.csv").write_text("")   # `run` writes it too
             before = entries()
             argv = [a.format(root=root) for a in WRITING_FLAGS[flag]]
             err = io.StringIO()
