@@ -38,7 +38,6 @@ class RunResult:
     delivered_bytes: dict[int, int]
     throughput_mbps: dict[int, float]
     total_mbps: float
-    records: list[IntervalRecord]
     transfer_delays_us: dict[int, list[int]]
     drops: dict[int, int]
     attempts: dict[int, int]
@@ -48,8 +47,7 @@ class RunResult:
     snr_db: dict[int, float]                    # link SNR each station ran with
 
     @classmethod
-    def from_stations(cls, stations: list[Station], records: list[IntervalRecord],
-                      duration_us: int) -> RunResult:
+    def from_stations(cls, stations: list[Station], duration_us: int) -> RunResult:
         """Whole-run totals read off the stations' counters."""
         delivered = {s.id: s.successes * s.payload_bytes for s in stations}
         thr = {i: 8.0 * b / duration_us for i, b in delivered.items()}
@@ -58,7 +56,6 @@ class RunResult:
             delivered_bytes=delivered,
             throughput_mbps=thr,
             total_mbps=sum(thr.values()),
-            records=records,
             transfer_delays_us={s.id: [] if s.saturated else
                                 list(s.traffic.transfer_delays_us) for s in stations},
             drops={s.id: s.drops for s in stations},
@@ -78,8 +75,8 @@ class ControlPlane:
     """Decides the window of stations 1..n: its start (`start_cw`, doubling
     if `beb`) and each beacon's commit. Keeps what it reads and writes: the
     AP's interval tally (`ap`) and each station's counters as read at the
-    last beacon (`marks`). It hands each trace record to `trace`, when
-    given, as it makes it; else it keeps the run's records (`records`).
+    last beacon (`marks`). It hands each trace record to `trace` as it
+    makes it; without a `trace` it makes none.
 
     mode "cac": one controller at the AP, window broadcast to every station.
     mode "dac": one controller per station, committed locally.
@@ -112,29 +109,29 @@ class ControlPlane:
         self.ap = BeaconCounters()   # the AP's decoded frames, fed by the engine
         # station id -> its (successes, retries, drops) at the last beacon
         self.marks = dict.fromkeys(ids, (0, 0, 0))
-        self.records: list[IntervalRecord] = []
-        self.trace = self.records.append if trace is None else trace
+        self.trace = trace
         self._names = {i: f"sta{i}" for i in ids}   # trace node names
 
     def _record_step(self, t_ms: int, node: str, p_obs: float | None,
                      p_own: float | None, old: ControllerState,
                      new: ControllerState) -> int:
-        """Record one controller step from `old` to `new` and return the
-        window it commits. A window at a bound counts a cap hit; a deferred
-        step, which returns the same state, records no error."""
+        """Record one controller step from `old` to `new`, when traced, and
+        return the window it commits. A window at a bound counts a cap hit;
+        a deferred step, which returns the same state, records no error."""
         cw = new.cw_quantized
         if cw in (new.cw_floor, new.cw_ceiling):
             self.cw_cap_hits += 1
-        self.trace(IntervalRecord(
-            t_ms, node, p_obs, p_own, new.prev_error if new is not old else None,
-            new.cw_real, cw))
+        if self.trace is not None:
+            self.trace(IntervalRecord(
+                t_ms, node, p_obs, p_own, new.prev_error if new is not old else None,
+                new.cw_real, cw))
         return cw
 
     def beacon_update(self, t_ms: int, stations: list[Station], heard) -> None:
         """Close the interval: take each station's gains since the last
         beacon, step the controllers on the interval's estimates, commit
-        their windows, and hand the interval's records to `trace`: the AP's,
-        then one per station in `stations` order.
+        their windows, and hand the interval's records to `trace`, if any:
+        the AP's, then one per station in `stations` order.
 
         `heard` yields each station's vantage tally, `(r0, r1)` in `stations`
         order; a station's sniffer heard it less its `missed`, which is then
@@ -153,7 +150,7 @@ class ControlPlane:
             old = self.cac_state
             self.cac_state = new = cac_step(ap_p_obs, old, p_opt)
             announced = self._record_step(t_ms, "ap", ap_p_obs, None, old, new)
-        else:
+        elif trace is not None:
             trace(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
 
         for s, (r0, r1) in zip(stations, heard):
@@ -176,8 +173,9 @@ class ControlPlane:
             else:
                 if announced is not None:
                     s.commit_cw_min(announced)
-                trace(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
-                                     None, None, s.cw_min_current))
+                if trace is not None:
+                    trace(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
+                                         None, None, s.cw_min_current))
 
 
 def run_slotted(stations: list[Station], profile: PhyProfile,
@@ -269,4 +267,4 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
 
     for fire, _, s in fires:
         s.backoff_counter = fire - idle
-    return RunResult.from_stations(stations, control.records, duration_us)
+    return RunResult.from_stations(stations, duration_us)

@@ -120,7 +120,6 @@ class EventEngine:
         self._ack_timeout = profile.ack_timeout
         self.capture = capture
         self.control = control
-        self._ap_hears = {i for i in heard if AP in heard[i]}
         self.duration_us = duration_us
 
         self._classes = [_HearingClass(m) for m in hearing_classes(heard)]
@@ -129,7 +128,8 @@ class EventEngine:
         self._sniffed = [self._class_of[i].sniffed for i in self.stations]
         # Per source: the classes with a member that hears it (its own class
         # if it has other members), and its audience bitmask of stations
-        # (the source and those that hear it).
+        # (the source and those that hear it). The AP hears exactly the
+        # stations that hear it, so `_audience[AP]` is also its hearing.
         self._hearing: dict[int, tuple[_HearingClass, ...]] = {}
         self._audience: dict[int, int] = {}
         masks = {c: sum(1 << i for i in c.members) for c in self._classes}
@@ -263,13 +263,13 @@ class EventEngine:
     # -- channel bookkeeping ------------------------------------------------
 
     def _begin_tx(self, tx: _Tx) -> None:
-        audience, ap_hears = self._audience, self._ap_hears
-        tx_audience = audience[tx.src]
+        audience = self._audience
+        tx_audience, ap_hears = audience[tx.src], audience[AP]
         from_ap = tx.src == AP
-        tx_to_ap = tx.src in ap_hears
+        tx_to_ap = ap_hears >> tx.src & 1
         for f in self._ongoing:
             if f.src != AP:
-                if tx_to_ap and f.src in ap_hears:
+                if tx_to_ap and ap_hears >> f.src & 1:
                     f.overlap_snrs.append(tx.snr)
                     tx.overlap_snrs.append(f.snr)
                 if from_ap:
@@ -341,7 +341,7 @@ class EventEngine:
                 if c is mine:
                     self.stations[src].missed[flag] += 1
         overlaps = tx.overlap_snrs
-        decoded = not tx.ap_busy and src in self._ap_hears and (
+        decoded = not tx.ap_busy and self._audience[AP] >> src & 1 == 1 and (
             not overlaps or self.capture.captures(tx.snr, max(overlaps)))
         if self.slot_log is not None:
             self.slot_log(FrameRecord(tx.start, src, decoded, len(overlaps), flag))
@@ -430,5 +430,4 @@ class EventEngine:
             t, _prio, _seq, handler, payload = heapq.heappop(heap)
             handler(self, t, payload)
 
-        return RunResult.from_stations(self._station_list, self.control.records,
-                                       self.duration_us)
+        return RunResult.from_stations(self._station_list, self.duration_us)

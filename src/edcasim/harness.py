@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
@@ -53,8 +54,9 @@ def _build_stations(scenario: Scenario, run_seed: int,
 
 
 def run_once(scenario: Scenario, rep: int, slot_log=None, trace=None) -> RunResult:
-    """One seeded replication; deterministic given (scenario, rep). With a
-    `trace` sink, its records go there and its `records` stay empty."""
+    """One seeded replication; deterministic given (scenario, rep). Its
+    frames go to `slot_log` and its trace records to `trace`, each only
+    when given."""
     control = ControlPlane(scenario, trace)
     stations = _build_stations(scenario, scenario.seed + rep, control)
     capture = CaptureModel(mode=scenario.capture_mode,
@@ -95,10 +97,6 @@ class ExperimentResult:
         return sum(js) / len(js)
 
 
-def _discard(record: IntervalRecord) -> None:
-    """The trace sink of the replications after a streamed first one."""
-
-
 def run_experiment(scenario: Scenario, jobs: int = 1, slot_log=None,
                    trace=None) -> ExperimentResult:
     """Run `replications` independent seeded replications and aggregate.
@@ -106,23 +104,20 @@ def run_experiment(scenario: Scenario, jobs: int = 1, slot_log=None,
     Results are reduced in replication order regardless of completion order,
     so the output is identical for any job count. A slot_log callback and a
     trace sink, when given, take the first replication's frames and records
-    as it runs; with several jobs, that replication runs in this process
-    while the pool runs the others. With a trace sink, no run keeps its
-    records.
+    as it runs; the others record nothing. With several jobs, the first
+    replication runs in this process while the pool runs the others.
     """
     others = range(1, scenario.replications)
-    others_trace = None if trace is None else _discard
-    if jobs > 1 and others:
-        # Imported here: it is a third of the package's import time, and
-        # serial runs never need it.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(others))) as pool:
-            rest = pool.map(run_once, repeat(scenario), others, repeat(None),
-                            repeat(others_trace))
-            runs = [run_once(scenario, 0, slot_log, trace), *rest]
-    else:
-        runs = [run_once(scenario, 0, slot_log, trace),
-                *(run_once(scenario, r, trace=others_trace) for r in others)]
+    with ExitStack() as stack:
+        replicate = map
+        if jobs > 1 and others:
+            # Imported here: it is a third of the package's import time, and
+            # serial runs never need it.
+            from concurrent.futures import ProcessPoolExecutor
+            replicate = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(jobs, len(others)))).map
+        rest = replicate(run_once, repeat(scenario), others)
+        runs = [run_once(scenario, 0, slot_log, trace), *rest]
     return ExperimentResult(scenario=scenario, runs=runs)
 
 

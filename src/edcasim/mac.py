@@ -196,8 +196,8 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
     duration in whole microseconds: the winner's `success_us`, or the
     largest `collision_us` among them when no frame is decoded.
 
-    The caller passes the stations whose backoff counter reached zero, at
-    least one. One transmitter: success. Several: a collision, unless the
+    The caller passes the stations whose backoff counter reached zero, two
+    or more (`run_lone` resolves a lone one). They collide, unless the
     capture model decodes a winner; losers follow the plain collision path
     either way (window doubling, retry flag, retry-limit drop with window
     reset). The decoded frame feeds the AP's counters, and every
@@ -206,8 +206,7 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
     """
     for s in transmitters:
         s.note_attempt()
-    winner = (transmitters[0] if len(transmitters) == 1
-              else resolve_capture(transmitters, capture))
+    winner = resolve_capture(transmitters, capture)
 
     if winner is None:
         busy_us = max(s.collision_us for s in transmitters)

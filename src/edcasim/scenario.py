@@ -104,6 +104,8 @@ class Scenario:
         if self.replications < 1:
             raise ConfigError("replications", "must be >= 1")
         phy = self.phy()
+        if not math.isfinite(self.duration_s * 1e6):
+            raise ConfigError("duration_s", "must be finite in microseconds")
         if self.duration_us < 10 * phy.beacon_interval:
             raise ConfigError("duration_s", "must span at least 10 beacon intervals")
         if self.duration_us % phy.beacon_interval:
@@ -117,6 +119,8 @@ class Scenario:
                 raise ConfigError("burst_bytes", "must hold at least one frame")
             if self.silent_mean_s <= 0:
                 raise ConfigError("silent_mean_s", "must be positive")
+            if not math.isfinite(self.silent_mean_s * 1e6):
+                raise ConfigError("silent_mean_s", "must be finite in microseconds")
         if self.static_cw < 1:
             raise ConfigError("static_cw", "must be >= 1")
         if self.static_beb and self.static_cw > phy.cw_ceiling:

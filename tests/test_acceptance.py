@@ -13,7 +13,8 @@ import pytest
 
 from edcasim.controllers import PiGains, compute_p_opt, pi_update, quantize_cw
 from edcasim.cli import main as cli_main
-from edcasim.harness import jain_index, run_experiment, run_once, sweep_points
+from edcasim.harness import (ExperimentResult, jain_index, run_experiment, run_once,
+                             sweep_points)
 from edcasim.oracle import cw_targeted_by_p, optimal_cw_bruteforce, solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario, get_preset
@@ -46,9 +47,21 @@ def fig9(request):
     return controller_set("fig9_snr_correlation")
 
 
+def traced_experiment(scenario):
+    """Run `scenario`'s replications as `run_experiment` does, and return
+    its result with each replication's own list of trace records."""
+    records = [[] for _ in range(scenario.replications)]
+    runs = [run_once(scenario, rep, trace=records[rep].append)
+            for rep in range(scenario.replications)]
+    return ExperimentResult(scenario=scenario, runs=runs), records
+
+
 @pytest.fixture(scope="module")
 def fig10(request):
-    return controller_set("fig10_hidden")
+    """fig10_hidden under each controller: its result and its trace records."""
+    hidden = get_preset("fig10_hidden")
+    return {ctl: traced_experiment(dataclasses.replace(hidden, controller=ctl))
+            for ctl in ("edca-static", "cac", "dac")}
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +75,11 @@ def fig10_doubling(request):
 
 
 @pytest.fixture(scope="module")
-def fig5_run(request):
-    return run_experiment(get_preset("fig5_cac_point_of_operation")).runs[0]
+def fig5_records(request):
+    """The trace records of fig5's first replication."""
+    records = []
+    run_experiment(get_preset("fig5_cac_point_of_operation"), trace=records.append)
+    return records
 
 
 def test_c01_optimal_point():
@@ -88,10 +104,10 @@ def test_c02_oracle_consistency():
                   f"{best10}, runtime {elapsed:.2f}s")
 
 
-def test_c03_cac_point_of_operation(fig5_run):
-    cws = {rec.cw_quantized for rec in fig5_run.records
+def test_c03_cac_point_of_operation(fig5_records):
+    cws = {rec.cw_quantized for rec in fig5_records
            if rec.node == "ap" and rec.t_ms > 20_000}
-    pobs = [rec.p_obs for rec in fig5_run.records
+    pobs = [rec.p_obs for rec in fig5_records
             if rec.node == "ap" and rec.t_ms > 60_000 and rec.p_obs is not None]
     mean_pobs = sum(pobs) / len(pobs)
     ok = cws <= {64, 128} and abs(mean_pobs - P_OPT) <= 0.05
@@ -182,16 +198,16 @@ def test_c06_cac_decorrelation(fig9):
 
 
 def test_c07_hidden_cac_rescue(fig10, fig10_doubling):
-    static = fig10["edca-static"].total_mean()
-    cac = fig10["cac"].total_mean()
+    result, records = fig10["cac"]
+    static = fig10["edca-static"][0].total_mean()
+    cac = result.total_mean()
     ok = cac >= 2.0 * static
     # The fixed-window baseline starves, so the check alone says little; the
     # report also sets CAC against the doubling MAC and shows how often its
     # announced window sat at the ceiling.
     doubling = fig10_doubling.total_mean()
-    ceiling = fig10["cac"].scenario.cw_bounds()[1]
-    ap = [rec for run in fig10["cac"].runs for rec in run.records
-          if rec.node == "ap"]
+    ceiling = result.scenario.cw_bounds()[1]
+    ap = [rec for run in records for rec in run if rec.node == "ap"]
     at_ceiling = sum(rec.cw_quantized == ceiling for rec in ap) / len(ap)
     assert report("7a (hidden nodes: CAC rescue)", ok,
                   f"cac {cac:.2f} Mbps vs edca-static {static:.2f} Mbps "
@@ -208,10 +224,10 @@ def test_c07_hidden_dac_no_improvement(fig10, fig10_doubling):
     # doubling. The fixed-window baseline of 7a starves here and is reported
     # only for reference; see the README.
     doubling = fig10_doubling.total_mean()
-    fixed = fig10["edca-static"].total_mean()
-    dac = fig10["dac"].total_mean()
-    sta = [rec for run in fig10["dac"].runs for rec in run.records
-           if rec.node != "ap"]
+    result, records = fig10["dac"]
+    fixed = fig10["edca-static"][0].total_mean()
+    dac = result.total_mean()
+    sta = [rec for run in records for rec in run if rec.node != "ap"]
     deferred = sum(rec.p_obs is None for rec in sta) / len(sta)
     ok = abs(dac - doubling) <= 0.15 * doubling
     assert report("7b (hidden nodes: DAC no improvement)", ok,
@@ -263,7 +279,7 @@ def test_c09_estimator_convergence():
                   f"p_own {p_own:.4f} (tol 0.01, {samples} sniffed frames)")
 
 
-def test_c10_controller_algebra(fig5_run):
+def test_c10_controller_algebra(fig5_records):
     rng = random.Random(1010)
     checks = {}
 
@@ -299,7 +315,7 @@ def test_c10_controller_algebra(fig5_run):
 
     # CAC uniformity: all stations commit the broadcast window each interval
     by_interval = {}
-    for rec in fig5_run.records:
+    for rec in fig5_records:
         by_interval.setdefault(rec.t_ms, {})[rec.node] = rec.cw_quantized
     ok_uniform = all(len({cw for cw in nodes.values()}) == 1
                      for nodes in by_interval.values())

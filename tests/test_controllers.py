@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from edcasim.controllers import (CONTROLLERS, ControllerState, PiGains, cac_error,
                                  cac_step, compute_gains, compute_p_opt, dac_error,
                                  dac_step, initial_state, pi_update, quantize_cw)
+from edcasim import engine
 from edcasim.engine import ControlPlane, IntervalRecord, run_slotted
 from edcasim.estimators import estimate_p_obs, estimate_p_own
 from edcasim.harness import _build_stations
@@ -294,7 +295,7 @@ class TestControlPlaneSettings:
         assert set(plane.dac_states) == {1, 2, 3}
         assert all((st.cw_floor, st.cw_ceiling) == sc.cw_bounds()
                    for st in plane.dac_states.values())
-        assert plane.cac_state is None and plane.records == []
+        assert plane.cac_state is None and plane.trace is None
 
     def test_overrides_are_read_off_the_scenario(self):
         sc = Scenario(snr_db=(30.0,), controller="cac", payload_bytes=200,
@@ -328,33 +329,35 @@ class TestIntervalGains:
 
     @staticmethod
     def plane_and_station():
+        """A traced plane, its one station, and the list its records go to."""
         sc = Scenario(snr_db=(30.0,), controller="edca-static")
         station = Station(1, 30.0, sc.phy(), random.Random(1),
                           1500, 16)
-        return ControlPlane(sc), station
+        records = []
+        return ControlPlane(sc, records.append), station, records
 
     def test_interval_deltas(self):
-        plane, station = self.plane_and_station()
+        plane, station, records = self.plane_and_station()
         for t_ms, (ok, retries) in ((100, (60, 15)), (200, (40, 5))):
             station.successes += ok
             station.retries += retries
             plane.beacon_update(t_ms, [station], [(0, 0)])
-        first, second = plane.records[1], plane.records[3]
+        first, second = records[1], records[3]
         assert first.p_own == pytest.approx(15 / 75)
         # T = 40, F = 5
         assert second.p_own == pytest.approx(5 / 45)
 
     def test_marks_hold_the_last_reading(self):
-        plane, station = self.plane_and_station()
+        plane, station, records = self.plane_and_station()
         assert plane.marks == {1: (0, 0, 0)}
         station.successes, station.retries, station.drops = 10, 11, 1
         plane.beacon_update(100, [station], [(0, 0)])
         assert plane.marks == {1: (10, 11, 1)}
         # F = 11 - 7 for the drop, T = 10
-        assert plane.records[-1].p_own == pytest.approx(4 / 14)
+        assert records[-1].p_own == pytest.approx(4 / 14)
         # no gains: nothing to estimate from, and the whole-run counters stand
         plane.beacon_update(200, [station], [(0, 0)])
-        assert plane.records[-1].p_own is None
+        assert records[-1].p_own is None
         assert (station.successes, station.retries, station.drops) == (10, 11, 1)
 
 
@@ -373,14 +376,38 @@ class TestWindowBoundHits:
         assert control.cw_cap_hits == hits
 
 
+class TestUntracedPlane:
+    """Without a trace sink the plane builds no IntervalRecord, yet steps,
+    counts cap hits and commits every window as a traced plane does."""
+
+    @staticmethod
+    def run(sc, trace):
+        control = ControlPlane(sc, trace)
+        stations = _build_stations(sc, sc.seed, control)
+        result = run_slotted(stations, sc.phy(), CaptureModel(), control, sc.duration_us)
+        return (result, control.cw_cap_hits, control.cac_state, control.dac_states,
+                [s.cw_min_current for s in stations])
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_builds_no_record_and_commits_alike(self, controller, monkeypatch):
+        sc = Scenario(snr_db=(35.0, 30.0, 25.0, 20.0), controller=controller,
+                      duration_s=2.0, replications=1, seed=3)
+        records, made = [], []
+        traced = self.run(sc, records.append)
+        monkeypatch.setattr(engine, "IntervalRecord", lambda *row: made.append(row))
+        untraced = self.run(sc, None)
+        assert len(records) == 20 * (sc.n_stations + 1) and made == []
+        assert untraced == traced
+
+
 def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Station],
-                            heard, gains) -> None:
+                            heard, gains, records: list[IntervalRecord]) -> None:
     """Reference for `ControlPlane.beacon_update`: every station's sniffed
     tally credited in a walk of its own, then stepped through the public
-    estimators and controller steps, and every window committed. `p_own`
-    reads `gains`, each station's drawn (successes, retries, drops) for the
-    interval, not the plane's marks, so the plane's delta-taking is checked
-    on its own."""
+    estimators and controller steps, every window committed, and the
+    interval's records appended to `records`. `p_own` reads `gains`, each
+    station's drawn (successes, retries, drops) for the interval, not the
+    plane's marks, so the plane's delta-taking is checked on its own."""
     tallies = []
     for s, (r0, r1) in zip(stations, heard):
         r0, r1 = r0 - s.missed[0], r1 - s.missed[1]
@@ -388,7 +415,6 @@ def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Stati
         s.sniffed[0] += r0
         s.sniffed[1] += r1
         tallies.append((r0, r1))
-    records = plane.records
     ap_p_obs = estimate_p_obs(plane.ap.r0, plane.ap.r1, plane.min_samples)
     if plane.mode == "cac":
         old = plane.cac_state
@@ -477,12 +503,12 @@ class TestFusedBeaconPass:
     def test_matches_the_two_pass_reference(self, run):
         sc = run["scenario"]
         profile = sc.phy()
-        sides = []
-        for _ in range(2):
+        sides, fused_records, reference_records = [], [], []
+        for records in (fused_records, reference_records):
             stations = [Station(i, 30.0, profile, random.Random(i),
                                 1500, cw, beb)
                         for i, (cw, beb) in enumerate(zip(run["windows"], run["bebs"]), 1)]
-            sides.append((ControlPlane(sc), stations))
+            sides.append((ControlPlane(sc, records.append), stations))
         (fused, fused_stations), (reference, reference_stations) = sides
         for k, ((ap_r0, ap_r1), gains) in enumerate(run["intervals"], 1):
             heard = [g[:2] for g in gains]
@@ -496,9 +522,9 @@ class TestFusedBeaconPass:
                     s.drops += drops
             fused.beacon_update(100 * k, fused_stations, heard)
             _two_pass_beacon_update(reference, 100 * k, reference_stations, heard,
-                                    [g[4:] for g in gains])
-            assert fused.records == reference.records
-            assert len(fused.records) == k * (len(fused_stations) + 1)
+                                    [g[4:] for g in gains], reference_records)
+            assert fused_records == reference_records
+            assert len(fused_records) == k * (len(fused_stations) + 1)
             assert fused.cw_cap_hits == reference.cw_cap_hits
             assert fused.cac_state == reference.cac_state
             assert fused.dac_states == reference.dac_states

@@ -45,10 +45,11 @@ class TestHiddenPair:
         assert cac.total_mbps > 2 * max(static.total_mbps, 0.1)
 
     def test_dac_defers_forever_without_observable_traffic(self):
-        res = run_once(hidden_pair_scenario(controller="dac",
-                                            duration_s=10.0), 0)
+        records = []
+        run_once(hidden_pair_scenario(controller="dac", duration_s=10.0), 0,
+                 trace=records.append)
         # no sniffable data frames at either station: window pinned at start
-        for rec in res.records:
+        for rec in records:
             if rec.node.startswith("sta"):
                 assert rec.cw_quantized == 16
                 assert rec.error is None
@@ -123,15 +124,19 @@ class TestEngineConsistency:
         assert event.total_mbps == pytest.approx(slotted.total_mbps, rel=0.02)
 
     def test_event_engine_deterministic(self):
-        r1 = run_once(hidden_pair_scenario(controller="cac", duration_s=5.0), 0)
-        r2 = run_once(hidden_pair_scenario(controller="cac", duration_s=5.0), 0)
+        records1, records2 = [], []
+        r1 = run_once(hidden_pair_scenario(controller="cac", duration_s=5.0), 0,
+                      trace=records1.append)
+        r2 = run_once(hidden_pair_scenario(controller="cac", duration_s=5.0), 0,
+                      trace=records2.append)
         assert r1.throughput_mbps == r2.throughput_mbps
-        assert r1.records == r2.records
+        assert records1 == records2
 
     def test_trace_rows_per_interval_per_node(self):
-        res = run_once(hidden_pair_scenario(duration_s=5.0), 0)
+        records = []
+        run_once(hidden_pair_scenario(duration_s=5.0), 0, trace=records.append)
         intervals = int(5e6) // hidden_pair_scenario().phy().beacon_interval
-        assert len(res.records) == intervals * 3   # 2 stations + AP
+        assert len(records) == intervals * 3   # 2 stations + AP
 
 
 class TestModelOracle:
@@ -388,11 +393,11 @@ class TestHearingClasses:
             (1, 5, 6, 8, 10, 12), (2,), (3,), (4,), (7,), (9,), (11,)]
 
 
-def _engine_for(cls, sc, slot_log=None):
+def _engine_for(cls, sc, slot_log=None, trace=None):
     """An event engine of class `cls` for replication 0 of `sc`, with the
     topology `sc` gives."""
     profile = sc.phy()
-    control = ControlPlane(sc)
+    control = ControlPlane(sc, trace)
     stations = _build_stations(sc, sc.seed, control)
     capture = CaptureModel(mode=sc.capture_mode,
                            threshold_db=sc.capture_threshold_db)
@@ -479,10 +484,10 @@ class _UnchainedEngine(EventEngine):
 
 
 def _frames_and_result(cls, sc):
-    """The FrameRecords of a run and its RunResult, trace records included."""
-    frames = []
-    res = _engine_for(cls, sc, slot_log=frames.append).run()
-    return frames, res
+    """The FrameRecords of a run, its trace records and its RunResult."""
+    frames, records = [], []
+    res = _engine_for(cls, sc, slot_log=frames.append, trace=records.append).run()
+    return frames, records, res
 
 
 class TestChainedExchanges:

@@ -18,7 +18,8 @@ from edcasim.cli import main as cli_main
 from edcasim.controllers import CONTROLLERS
 from edcasim.engine import ControlPlane
 from edcasim.harness import (OUTPUT_NAMES, SUMMARY_HEADER, _build_stations, emit_outputs,
-                             jain_index, run_experiment, sweep_points, trace_writer)
+                             jain_index, run_experiment, run_once, sweep_points,
+                             trace_writer)
 from edcasim.mac import FrameRecord
 from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
                               load_scenario)
@@ -109,10 +110,11 @@ class TestExperiment:
 
     def test_parallel_jobs_identical_to_sequential(self):
         sc = tiny_scenario(replications=3)
-        seq = run_experiment(sc, jobs=1)
-        par = run_experiment(sc, jobs=3)
+        seq_records, par_records = [], []
+        seq = run_experiment(sc, jobs=1, trace=seq_records.append)
+        par = run_experiment(sc, jobs=3, trace=par_records.append)
         assert throughputs(seq) == throughputs(par)
-        assert seq.runs[0].records == par.runs[0].records
+        assert seq_records == par_records
 
     def test_gain_overrides_change_dynamics(self):
         # near-zero gains freeze the window at its floor
@@ -120,20 +122,23 @@ class TestExperiment:
                               kp_override=1e-9, ki_override=1e-9)
         adaptive = both_engines(snr_db=(30.0,) * 8, duration_s=3.0, replications=1)
         for sc in frozen:
-            res = run_experiment(sc).runs[0]
-            assert all(rec.cw_quantized == 16 for rec in res.records
+            records = []
+            run_experiment(sc, trace=records.append)
+            assert all(rec.cw_quantized == 16 for rec in records
                        if rec.node == "ap")
         for sc in adaptive:
-            res = run_experiment(sc).runs[0]
-            assert any(rec.cw_quantized > 16 for rec in res.records
+            records = []
+            run_experiment(sc, trace=records.append)
+            assert any(rec.cw_quantized > 16 for rec in records
                        if rec.node == "ap")
 
     def test_defer_threshold_is_configurable(self):
         # an absurdly high sample floor defers every update
         for sc in both_engines(snr_db=(30.0,) * 4, duration_s=3.0, replications=1,
                                defer_min_samples=10**9):
-            res = run_experiment(sc).runs[0]
-            for rec in res.records:
+            records = []
+            run_experiment(sc, trace=records.append)
+            for rec in records:
                 if rec.node == "ap":
                     assert rec.error is None and rec.cw_quantized == 16
 
@@ -316,7 +321,8 @@ class TestOutputs:
 
 class TestStreamedTrace:
     """A trace sink takes the first replication's records as the run makes
-    them, and no replication keeps its own."""
+    them; the other replications, and any run without a sink, record
+    nothing."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("replications", [1, 3])
@@ -324,13 +330,13 @@ class TestStreamedTrace:
     def test_stream_is_the_kept_records_trace(self, controller, replications, jobs):
         for sc in both_engines(controller=controller, replications=replications,
                                duration_s=1.0):
-            kept = run_experiment(sc, jobs=jobs)
+            kept = []
+            run_once(sc, 0, trace=kept.append)
             streamed = io.StringIO()
             result = run_experiment(sc, jobs=jobs, trace=trace_writer(streamed))
-            assert all(run.records for run in kept.runs)
-            assert streamed.getvalue() == records_trace(kept.runs[0].records)
-            assert [run.records for run in result.runs] == [[]] * replications
-            assert throughputs(result) == throughputs(kept)
+            assert kept
+            assert streamed.getvalue() == records_trace(kept)
+            assert throughputs(result) == throughputs(run_experiment(sc, jobs=jobs))
 
     def test_sweep_streams_each_points_trace(self, tmp_path):
         base = tiny_scenario(duration_s=1.0)
@@ -344,12 +350,15 @@ class TestStreamedTrace:
         for value, point in sweep_points(base, "controller", ["cac", "dac"]):
             written = tmp_path / "o" / f"controller_{value}"
             assert sorted(p.name for p in written.iterdir()) == sorted(OUTPUT_NAMES)
-            assert (written / "trace.csv").read_text() \
-                == records_trace(run_experiment(point).runs[0].records)
+            records = []
+            run_experiment(point, trace=records.append)
+            assert (written / "trace.csv").read_text() == records_trace(records)
 
-    def test_memory_does_not_grow_with_run_length(self, tmp_path):
-        # A 40-station DAC run writes 41 trace rows a beacon; none of them
-        # stays in memory once written.
+    @staticmethod
+    def peaks(run) -> tuple[int, int]:
+        """The peak traced memory of `run(scenario)` on a 40-station DAC
+        scenario of 2 s and of 20 s, after a warm-up run for imports and
+        first-use caches."""
         import tracemalloc
 
         def peak(duration_s: float) -> int:
@@ -357,13 +366,23 @@ class TestStreamedTrace:
                           replications=1, seed=3, name="flat")
             tracemalloc.start()
             try:
-                run_to(sc, tmp_path / f"{duration_s:g}s")
+                run(sc)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(2.0)   # warm-up: imports and first-use caches
-        short, long = peak(2.0), peak(20.0)
+        peak(2.0)
+        return peak(2.0), peak(20.0)
+
+    def test_memory_does_not_grow_with_run_length(self, tmp_path):
+        # A 40-station DAC run writes 41 trace rows a beacon; none of them
+        # stays in memory once written.
+        short, long = self.peaks(lambda sc: run_to(sc, tmp_path / f"{sc.duration_s:g}s"))
+        assert long <= short + 0.25 * 2 ** 20, (short, long)
+
+    def test_library_run_keeps_nothing_that_grows(self):
+        # Without a sink, a run makes no trace record at all.
+        short, long = self.peaks(run_experiment)
         assert long <= short + 0.25 * 2 ** 20, (short, long)
 
 
@@ -463,12 +482,16 @@ class TestCli:
         ("", ["run", "{cfg}", "--out", "{cfg}"], "out"),
         ("", ["sweep", "--base", "{cfg}", "--axis", "n_stations", "--values", "1",
               "--out", "{cfg}"], "out"),
+        # Too long to count in microseconds.
+        ("duration_s = 1e303", ["run", "{cfg}"], "duration_s"),
+        ("traffic = onoff\nburst_bytes = 1500\nsilent_mean_s = 1e303", ["run", "{cfg}"],
+         "silent_mean_s"),
     ], ids=["controller", "defer_min_samples_0", "defer_min_samples_negative",
             "name_comma", "cw_ceiling_override", "cw_floor_and_ceiling_above_phy",
             "static_cw_with_beb", "kp_override_inf", "sweep_controller",
             "sweep_n_stations_hidden", "controller_twice", "snr_db_twice",
             "stations_twice", "sweep_repeated_values", "run_out_is_a_file",
-            "sweep_out_is_a_file"])
+            "sweep_out_is_a_file", "duration_s_huge", "silent_mean_s_huge"])
     def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, config,
                                     argv, field):
         # a configuration error is reported before any replication runs

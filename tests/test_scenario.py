@@ -129,6 +129,9 @@ _FIELD_ERRORS = {
     "kw38-static_cw": (dict(static_cw=2048, static_beb=True), "static_cw"),
     "kw39-kp_override": (dict(kp_override=float("inf"), ki_override=5.0), "kp_override"),
     "kw40-name": (dict(name='"q'), "name"),
+    "kw41-duration_s": (dict(duration_s=1e303), "duration_s"),
+    "kw42-silent_mean_s": (dict(traffic="onoff", burst_bytes=1500, silent_mean_s=1e303,
+                                duration_s=1.0), "silent_mean_s"),
 }
 
 
