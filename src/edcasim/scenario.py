@@ -25,6 +25,9 @@ class ConfigError(ValueError):
 # The fields that hide one node from another; with all of them empty, a
 # scenario is fully connected.
 HIDDEN_FIELDS = ("hidden_pairs", "hidden_from_ap", "hidden_links")
+# The text fields that name one of a fixed set of choices, with the choices.
+_CHOICES = {"profile": BUILTIN_PROFILES, "controller": CONTROLLERS, "traffic": TRAFFIC_KINDS,
+            "capture_mode": CAPTURE_MODES, "station_add_order": ("ascending", "descending")}
 
 
 @dataclass(frozen=True)
@@ -79,28 +82,29 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
+        # A field's value is of its type when its codec reads it back equal:
+        # this refuses a bool or a float for an int, a list for a tuple, and
+        # a non-finite number, and converts nothing.
+        for f in fields(self):
+            parse, render, expected = _FORMAT[f.type]
+            value = getattr(self, f.name)
+            try:
+                if parse(render(value)) == value:
+                    continue
+            except (TypeError, ValueError):
+                pass
+            raise ConfigError(f.name, f"expected {expected}, got {value!r}")
         if any(c in self.name for c in '#,"') or self.name != self.name.strip() \
                 or len(self.name.splitlines()) > 1:
             raise ConfigError("name", "must be one line, without '#', ',', '\"' "
                               "or surrounding whitespace")
-        if self.profile not in BUILTIN_PROFILES:
-            raise ConfigError("profile", f"unknown profile {self.profile!r}")
-        if self.controller not in CONTROLLERS:
-            raise ConfigError("controller", f"unknown controller {self.controller!r}")
-        if self.traffic not in TRAFFIC_KINDS:
-            raise ConfigError("traffic", f"unknown traffic model {self.traffic!r}")
-        if self.capture_mode not in CAPTURE_MODES:
-            raise ConfigError("capture_mode", f"unknown capture mode {self.capture_mode!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f.name, "must be finite")
+        for name, known in _CHOICES.items():
+            if (value := getattr(self, name)) not in known:
+                raise ConfigError(name, f"expected one of {', '.join(known)}, got {value!r}")
         if self.capture_mode == "threshold" and self.capture_threshold_db <= 0:
             raise ConfigError("capture_threshold_db", "must be positive")
         if self.n_stations < 1:
             raise ConfigError("snr_db", "at least one station required")
-        if any(not math.isfinite(s) for s in self.snr_db):
-            raise ConfigError("snr_db", "SNR values must be finite")
         if self.replications < 1:
             raise ConfigError("replications", "must be >= 1")
         phy = self.phy()
@@ -129,23 +133,19 @@ class Scenario:
         if self.defer_min_samples < 1:
             raise ConfigError("defer_min_samples", "must be >= 1")
         ids = range(1, self.n_stations + 1)
-        for a, b in self.hidden_pairs:
-            if a == b or a not in ids or b not in ids:
-                raise ConfigError("hidden_pairs", f"bad station pair ({a},{b})")
+        for name in ("hidden_pairs", "hidden_links"):
+            for a, b in getattr(self, name):
+                if a == b or a not in ids or b not in ids:
+                    raise ConfigError(name, f"bad station pair ({a},{b})")
         for a in self.hidden_from_ap:
             if a not in ids:
                 raise ConfigError("hidden_from_ap", f"unknown station {a}")
         if self.hidden_links and not self.allow_asymmetric:
             raise ConfigError("hidden_links",
                               "asymmetric hearing requires allow_asymmetric = true")
-        for a, b in self.hidden_links:
-            if a == b or a not in ids or b not in ids:
-                raise ConfigError("hidden_links", f"bad directed pair ({a},{b})")
         if not self.is_fully_connected() and self.traffic != "saturated":
             raise ConfigError("traffic",
                               "hidden topologies support saturated traffic only")
-        if self.station_add_order not in ("ascending", "descending"):
-            raise ConfigError("station_add_order", "ascending or descending")
         if self.snr_jitter_db < 0:
             raise ConfigError("snr_jitter_db", "must be >= 0")
         for name in ("cw_floor_override", "cw_ceiling_override"):
@@ -204,6 +204,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _number(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
     pairs = []
     for chunk in raw.split(";"):
@@ -227,14 +234,14 @@ def _optional(parse, render):
 _FORMAT = {
     "str": (str, str, "text"),
     "int": (int, str, "an integer"),
-    "float": (float, repr, "a number"),
+    "float": (_number, repr, "a finite number"),
     "bool": (_parse_bool, lambda v: "true" if v else "false", "true/false"),
     "int | None": (*_optional(int, str), "an integer or none"),
-    "float | None": (*_optional(float, repr), "a number or none"),
+    "float | None": (*_optional(_number, repr), "a finite number or none"),
     "tuple[int, ...]": (_comma_list(int), lambda v: ", ".join(str(x) for x in v),
                         "comma-separated integers"),
-    "tuple[float, ...]": (_comma_list(float), lambda v: ", ".join(repr(x) for x in v),
-                          "comma-separated numbers"),
+    "tuple[float, ...]": (_comma_list(_number), lambda v: ", ".join(repr(x) for x in v),
+                          "comma-separated finite numbers"),
     "tuple[tuple[int, int], ...]": (
         _parse_pairs, lambda v: "; ".join(f"{a}-{b}" for a, b in v),
         "'a-b' pairs separated by ';'"),

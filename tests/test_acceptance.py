@@ -101,7 +101,7 @@ def test_c02_oracle_consistency():
         and elapsed < 1.0
     assert report("2 (oracle consistency)", ok,
                   f"max step offset x{max(offsets.values())}, n=10 optimum "
-                  f"{best10}, runtime {elapsed:.2f}s")
+                  f"{best10}{'' if elapsed < 1.0 else ', runtime over 1 s'}")
 
 
 def test_c03_cac_point_of_operation(fig5_records):

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, reject, strategies as st
@@ -132,6 +132,14 @@ _FIELD_ERRORS = {
     "kw41-duration_s": (dict(duration_s=1e303), "duration_s"),
     "kw42-silent_mean_s": (dict(traffic="onoff", burst_bytes=1500, silent_mean_s=1e303,
                                 duration_s=1.0), "silent_mean_s"),
+    "kw43-static_beb": (dict(static_beb="false"), "static_beb"),
+    "kw44-payload_bytes": (dict(payload_bytes=True), "payload_bytes"),
+    "kw45-seed": (dict(seed=1.5), "seed"),
+    "kw46-replications": (dict(replications=2.0), "replications"),
+    "kw47-static_cw": (dict(controller="edca-static", static_cw=16.5), "static_cw"),
+    "kw48-snr_db": (dict(snr_db=[30.0, 30.0]), "snr_db"),
+    "kw49-hidden_pairs": (dict(hidden_pairs=((1.0, 2.0),)), "hidden_pairs"),
+    "kw50-replications": (dict(replications="2"), "replications"),
 }
 
 
@@ -143,6 +151,11 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             sample_scenario(**kw)
         assert err.value.field == field
+
+    def test_int_for_a_number_is_kept_and_round_trips(self):
+        sc = sample_scenario(duration_s=30)
+        assert sc.duration_s == 30 and isinstance(sc.duration_s, int)
+        assert parse_scenario(emit_scenario(sc)) == sc
 
     def test_asymmetric_needs_flag(self):
         with pytest.raises(ConfigError, match="asymmetric"):
@@ -217,6 +230,22 @@ def scenarios(draw):
         reject()
 
 
+def mistyped(value) -> list:
+    """Values next to `value`'s type: a bool or a string for a number, a
+    float for an int, a string for a flag, a list for a tuple, and a tuple
+    with one of its items so changed."""
+    if isinstance(value, bool):
+        return [str(value).lower()]
+    if isinstance(value, int):
+        return [value % 2 == 1, float(value), str(value)]
+    if isinstance(value, float):
+        return [value > 0, str(value)]
+    if isinstance(value, tuple):
+        return [list(value)] + [value[:i] + (wrong,) + value[i + 1:]
+                                for i, item in enumerate(value) for wrong in mistyped(item)]
+    return [False, "none"] if value is None else []
+
+
 class TestCodecProperties:
     def test_every_field_type_has_a_format(self):
         assert {f.type for f in fields(Scenario)} <= set(_FORMAT)
@@ -224,6 +253,20 @@ class TestCodecProperties:
     @given(scenarios())
     def test_accepted_scenarios_round_trip(self, sc):
         assert parse_scenario(emit_scenario(sc)) == sc
+
+    @given(scenarios(), st.data())
+    def test_mistyped_fields_are_refused_or_round_trip(self, sc, data):
+        # a field is typed by its codec: a value is refused, naming its
+        # field, unless it reads back equal
+        wrongs = {f.name: mistyped(getattr(sc, f.name)) for f in fields(Scenario)}
+        name = data.draw(st.sampled_from(sorted(k for k, v in wrongs.items() if v)))
+        value = data.draw(st.sampled_from(wrongs[name]))
+        try:
+            built = replace(sc, **{name: value})
+        except ConfigError as err:
+            assert err.field == name
+        else:
+            assert parse_scenario(emit_scenario(built)) == built
 
 
 class TestVisibility:
