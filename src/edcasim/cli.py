@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .controllers import CONTROLLERS
 from .harness import (OUTPUT_NAMES, SWEEP_AXES, TRACE_NAME, emit_outputs, run_experiment,
-                      slot_trace_writer, sweep, sweep_points, trace_writer)
+                      slot_trace_writer, sweep_points, trace_writer)
 from .oracle import cw_grid, solve_fixed_point
 from .phy import BUILTIN_PROFILES, MAX_MSDU_BYTES, get_profile
 from .scenario import PRESETS, ConfigError, Scenario, emit_scenario, get_preset, load_scenario
@@ -86,18 +86,25 @@ def _open_for_writing(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _run_into(scenario: Scenario, outdir: str, jobs: int, slot_log=None):
+    """Run `scenario` and write its `OUTPUT_NAMES` into `outdir`: trace.csv
+    as replication 0 runs, the others once every replication has ended.
+    Return the result."""
+    with _open_for_writing(os.path.join(outdir, TRACE_NAME)) as fh:
+        result = run_experiment(scenario, jobs=jobs, slot_log=slot_log,
+                                trace=trace_writer(fh))
+    emit_outputs(result, outdir)
+    return result
+
+
 def cmd_run(args) -> int:
     scenario = _apply_overrides(_resolve_scenario("scenario", args.scenario), args)
     traced = args.slot_trace is not None
     _refuse_unwritable(_output_writes(args.out)
                        + [("slot-trace", args.slot_trace, False)] * traced)
-    trace = os.path.join(args.out, TRACE_NAME)
-    with _open_for_writing(trace) as tfh, \
-            _open_for_writing(args.slot_trace) if traced else nullcontext() as fh:
-        result = run_experiment(scenario, jobs=args.jobs,
-                                slot_log=slot_trace_writer(fh) if fh else None,
-                                trace=trace_writer(tfh))
-    paths = {**emit_outputs(result, args.out), TRACE_NAME: trace}
+    with _open_for_writing(args.slot_trace) if traced else nullcontext() as fh:
+        result = _run_into(scenario, args.out, args.jobs,
+                           slot_log=slot_trace_writer(fh) if fh else None)
     jfi = result.jain_mean()
     drops = sum(sum(r.drops.values()) for r in result.runs)
     print(f"scenario {scenario.name}: {scenario.replications} replication(s), "
@@ -106,34 +113,35 @@ def cmd_run(args) -> int:
           f"(std {result.total_std():.3f}), "
           f"jfi {'n/a' if jfi is None else f'{jfi:.4f}'}, "
           f"retry-limit drops {drops}")
-    for name in sorted(paths):
-        print(f"wrote {paths[name]}")
+    for name in sorted(OUTPUT_NAMES):
+        print(f"wrote {os.path.join(args.out, name)}")
     if traced:
         print(f"wrote {args.slot_trace}")
     return 0
 
 
+def sweep(axis: str, points: list, table: str, jobs: int) -> None:
+    """Run each `(value, scenario, outdir)` of `points` in order, writing its
+    outputs into `outdir` as `run` does and its row to the file `table` as
+    the point ends; no result is kept."""
+    with _open_for_writing(table) as fh:
+        fh.write("axis,value,total_mbps_mean,total_mbps_std,jfi_mean\n")
+        for value, scenario, outdir in points:
+            res = _run_into(scenario, outdir, jobs)
+            jfi = res.jain_mean()
+            fh.write(f"{axis},{value},{res.total_mean():.6f},{res.total_std():.6f},"
+                     f"{'' if jfi is None else f'{jfi:.6f}'}\n")
+
+
 def cmd_sweep(args) -> int:
     base = _apply_overrides(_resolve_scenario("base", args.base), args)
     table = os.path.join(args.out, "sweep.csv")
-    points = sweep_points(base, args.axis, args.values)
     # Each point's outputs go under `<axis>_<value>/`.
-    point_dirs = {value: os.path.join(args.out, f"{args.axis}_{value}")
-                  for value, _ in points}
+    points = [(value, scenario, os.path.join(args.out, f"{args.axis}_{value}"))
+              for value, scenario in sweep_points(base, args.axis, args.values)]
     _refuse_unwritable([("out", args.out, True), ("out", table, False)]
-                       + [w for d in point_dirs.values() for w in _output_writes(d)])
-    with _open_for_writing(table) as fh:
-        fh.write("axis,value,total_mbps_mean,total_mbps_std,jfi_mean\n")
-
-        def done(value, res) -> None:
-            jfi = res.jain_mean()
-            fh.write(f"{args.axis},{value},{res.total_mean():.6f},"
-                     f"{res.total_std():.6f},"
-                     f"{'' if jfi is None else f'{jfi:.6f}'}\n")
-            emit_outputs(res, point_dirs[value])
-
-        sweep(points, args.jobs, done=done,
-              trace_file=lambda v: _open_for_writing(os.path.join(point_dirs[v], TRACE_NAME)))
+                       + [w for *_, outdir in points for w in _output_writes(outdir)])
+    sweep(args.axis, points, table, args.jobs)
     print(f"wrote {table}")
     return 0
 

@@ -1,5 +1,5 @@
 """Experiment orchestration: seeded replications, metric aggregation,
-parameter sweeps, and CSV/lock-file emission.
+sweep points, and CSV/lock-file emission.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .engine import ControlPlane, IntervalRecord, RunResult, run_slotted
 from .eventmac import EventEngine
 from .mac import CaptureModel, FrameRecord, Station, TrafficSource
 from .scenario import (HIDDEN_FIELDS, ConfigError, Scenario, emit_scenario,
-                       hidden_node_visibility)
+                       hidden_node_visibility, parse_value)
 
 
 def jain_index(throughputs: list[float]) -> float | None:
@@ -136,23 +136,24 @@ def _station_point(base: Scenario, value: int) -> Scenario:
     return replace(base, snr_db=tuple(ordered[:value]), name=f"{base.name}/n{value}")
 
 
-# Sweep axis -> (parser of its values, builder of the point for one value).
+# Sweep axis -> (the config key whose codec reads its values, builder of the
+# point for one value).
 SWEEP_AXES = {
-    "n_stations": (int, _station_point),
-    "capture_threshold": (float, lambda base, v: replace(
+    "n_stations": ("stations", _station_point),
+    "capture_threshold": ("capture_threshold_db", lambda base, v: replace(
         base, capture_mode="threshold", capture_threshold_db=v,
         name=f"{base.name}/thr{v}")),
     # The value is the mean silent time (1/lambda) in seconds.
-    "lambda": (float, lambda base, v: replace(
+    "lambda": ("silent_mean_s", lambda base, v: replace(
         base, traffic="onoff", silent_mean_s=v, name=f"{base.name}/silent{v}")),
-    "controller": (str, lambda base, v: replace(
+    "controller": ("controller", lambda base, v: replace(
         base, controller=v, name=f"{base.name}/{v}")),
 }
 
 
 def sweep_points(base: Scenario, axis: str, values: list) -> list[tuple[object, Scenario]]:
-    """The `(value, scenario)` point of each axis value, derived from the
-    base scenario and validated, none of them run.
+    """The `(value, scenario)` point of each axis value, read as its config
+    key's type, derived from the base scenario and validated, none of them run.
 
     For the station-count axis, stations join in the configured order of link
     quality (ascending: worst link first).
@@ -162,30 +163,14 @@ def sweep_points(base: Scenario, axis: str, values: list) -> list[tuple[object, 
                           f"known: {tuple(SWEEP_AXES)}")
     if not values:
         raise ConfigError("values", "empty sweep values")
-    parse, point = SWEEP_AXES[axis]
-    parsed = []
-    for v in values:
-        try:
-            parsed.append(parse(v))
-        except (TypeError, ValueError):
-            raise ConfigError("values", f"bad {axis} value {v!r}") from None
+    key, point = SWEEP_AXES[axis]
+    parsed = [parse_value(key, str(v), "values") for v in values]
     # Each point writes under its value's name, so a repeated value would
     # overwrite the outputs of the point before it.
     if len(set(parsed)) < len(parsed):
         raise ConfigError("values", f"repeated {axis} value in {values}")
     # Building a point validates it.
     return [(v, point(base, v)) for v in parsed]
-
-
-def sweep(points: list[tuple[object, Scenario]], jobs: int, trace_file, done) -> None:
-    """Run the `(value, scenario)` points that `sweep_points` built and
-    checked, in order. Each point's trace streams, as `trace_writer` writes
-    it, to the file that `trace_file(value)` opens, and its `(value, result)`
-    goes to `done` as the point ends; no result is kept.
-    """
-    for value, scenario in points:
-        with trace_file(value) as fh:
-            done(value, run_experiment(scenario, jobs=jobs, trace=trace_writer(fh)))
 
 
 # -- output emission ----------------------------------------------------------

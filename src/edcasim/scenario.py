@@ -251,12 +251,14 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
 _KEY_TYPES = {**_FIELD_TYPES, "stations": "int"}
 
 
-def _parse_value(name: str, raw: str, type_name: str):
-    parse, _, expected = _FORMAT[type_name]
+def parse_value(key: str, raw: str, flag: str):
+    """The value that the text `raw` gives the config key `key`, read by the
+    key's codec; a ConfigError names `flag` when `raw` is not of its type."""
+    parse, _, expected = _FORMAT[_KEY_TYPES[key]]
     try:
         return parse(raw)
     except ValueError:
-        raise ConfigError(name, f"expected {expected}, got {raw!r}") from None
+        raise ConfigError(flag, f"expected {expected}, got {raw!r}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -272,7 +274,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(key, "unknown configuration key")
         if key in values:
             raise ConfigError(key, f"given twice (again on line {lineno})")
-        values[key] = _parse_value(key, raw, _KEY_TYPES[key])
+        values[key] = parse_value(key, raw, key)
     if "snr_db" not in values:
         raise ConfigError("snr_db", "missing required key")
     n = values.pop("stations", None)

@@ -17,9 +17,9 @@ import edcasim.harness
 from edcasim.cli import main as cli_main
 from edcasim.controllers import CONTROLLERS
 from edcasim.engine import ControlPlane
-from edcasim.harness import (OUTPUT_NAMES, SUMMARY_HEADER, _build_stations, emit_outputs,
-                             jain_index, run_experiment, run_once, sweep_points,
-                             trace_writer)
+from edcasim.harness import (OUTPUT_NAMES, SUMMARY_HEADER, SWEEP_AXES, _build_stations,
+                             emit_outputs, jain_index, run_experiment, run_once,
+                             sweep_points, trace_writer)
 from edcasim.mac import FrameRecord
 from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
                               load_scenario)
@@ -243,6 +243,47 @@ class TestSweep:
                          "--values", *map(str, values), "--out", str(out)]) == 2
         assert not out.exists()
         return capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis,value", [
+        *((axis, value) for axis in ("capture_threshold", "lambda")
+          for value in ("nan", "inf", "1e400")),
+        ("n_stations", "1.5")])
+    def test_values_are_read_as_their_keys_type(self, tmp_path, monkeypatch, capsys,
+                                                axis, value):
+        # 1e400 reads as inf, which is no finite number: the message names
+        # the flag and quotes the text given, not a value the user never typed
+        err = self.refused(tmp_path, monkeypatch, capsys, tiny_scenario(), axis, [value])
+        assert err.startswith("configuration error: values:") and repr(value) in err
+
+    # Per axis, a value and the one its point must carry.
+    POINT_VALUES = {"n_stations": ("2", 2), "capture_threshold": ("7.5", 7.5),
+                    "lambda": ("1.5", 1.5), "controller": ("dac", "dac")}
+
+    @pytest.mark.parametrize("axis", sorted(POINT_VALUES))
+    def test_point_carries_the_value_under_its_key(self, axis):
+        # the key that reads an axis's values is the field its point sets
+        assert sorted(SWEEP_AXES) == sorted(self.POINT_VALUES)
+        raw, value = self.POINT_VALUES[axis]
+        [(parsed, point)] = sweep_points(tiny_scenario(replications=1), axis, [raw])
+        key = SWEEP_AXES[axis][0]
+        assert parsed == value
+        assert getattr(point, "n_stations" if key == "stations" else key) == value
+
+    def test_each_point_is_a_run_of_its_lock(self, tmp_path):
+        # `run` of a point's scenario.lock rewrites that point's three files
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(emit_scenario(tiny_scenario(duration_s=1.0)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["sweep", "--base", str(cfg), "--axis", "controller",
+                             "--values", "cac", "dac", "--replications", "2",
+                             "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
+            for value in ("cac", "dac"):
+                point = tmp_path / "o" / f"controller_{value}"
+                rerun = tmp_path / f"rerun_{value}"
+                assert cli_main(["run", str(point / "scenario.lock"),
+                                 "--out", str(rerun)]) == 0
+                for name in OUTPUT_NAMES:
+                    assert (rerun / name).read_bytes() == (point / name).read_bytes()
 
     def test_bad_point_fails_before_any_runs(self, tmp_path, monkeypatch, capsys):
         err = self.refused(tmp_path, monkeypatch, capsys, tiny_scenario(),
