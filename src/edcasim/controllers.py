@@ -61,42 +61,23 @@ def compute_gains(p_opt: float, m: int) -> PiGains:
     return PiGains(k_p=0.8 / den, k_i=0.4 / (0.85 * den))
 
 
-def cac_error(p_obs: float, p_opt: float) -> float:
-    """Centralized error signal: positive when the network collides too much."""
-    return p_obs - p_opt
-
-
-def dac_error(p_obs_i: float, p_own_i: float, p_opt: float) -> float:
-    """Distributed error signal: collision term plus fairness term.
-
-    (p_obs - p_opt) drives the network to the target point; (p_obs - p_own)
-    pushes stations that collide less than they observe toward larger windows.
-    """
-    return 2.0 * p_obs_i - p_own_i - p_opt
-
-
-def quantize_cw(cw_real: float, cw_floor: int, cw_ceiling: int) -> int:
-    """Nearest power of 2 in log space, clamped to the configured bounds.
-
-    Half-way exponents resolve by round-half-to-even, matching rint().
-    """
-    exponent = round(math.log2(cw_real))  # banker's rounding on the exponent
-    cw = 2 ** exponent
-    return min(max(cw, cw_floor), cw_ceiling)
-
-
 def pi_update(state: ControllerState, error: float | None) -> ControllerState:
-    """One velocity-form PI step on the unquantized window.
-
-    A deferred estimate (error is None) leaves the state untouched, including
-    the stored previous error.
+    """One velocity-form PI step on the unquantized window, committing its
+    nearest power of 2 in log space (half-way exponents round half to even,
+    as rint() does), clamped to the bounds. A deferred estimate (error is
+    None) leaves the state untouched, including the stored previous error.
     """
     if error is None:
         return state
     g, floor, ceiling, cw, _, prev = state
     cw = cw + g.k_p * error + (g.k_i - g.k_p) * prev
-    cw = min(max(cw, float(floor)), float(ceiling))
-    return ControllerState(g, floor, ceiling, cw, quantize_cw(cw, floor, ceiling), error)
+    # Each clamp is a conditional, not `min(max(...))`, and `tuple.__new__`
+    # builds the state without the generated `__new__`'s Python call: this
+    # runs once per station per beacon under DAC.
+    cw = float(floor) if cw < floor else float(ceiling) if cw > ceiling else cw
+    q = 1 << round(math.log2(cw))
+    q = floor if q < floor else ceiling if q > ceiling else q
+    return tuple.__new__(ControllerState, (g, floor, ceiling, cw, q, error))
 
 
 def initial_state(gains: PiGains, cw_floor: int, cw_ceiling: int) -> ControllerState:
@@ -107,22 +88,18 @@ def initial_state(gains: PiGains, cw_floor: int, cw_ceiling: int) -> ControllerS
 
 def cac_step(p_obs: float | None, state: ControllerState,
              p_opt: float) -> ControllerState:
-    """Centralized update at the AP from its `p_obs` estimate; the new
-    state's `cw_quantized` is the window to broadcast.
-
-    When the estimate defers (None), the state comes back unchanged and its
-    window is rebroadcast.
-    """
-    return pi_update(state, None if p_obs is None else cac_error(p_obs, p_opt))
+    """Centralized update at the AP on the error p_obs - p_opt; the new state's
+    `cw_quantized` is the window to broadcast. A deferred estimate (None)
+    returns the state unchanged, and its window is rebroadcast."""
+    return pi_update(state, None if p_obs is None else p_obs - p_opt)
 
 
 def dac_step(p_obs: float | None, p_own: float | None, state: ControllerState,
              p_opt: float) -> ControllerState:
-    """Distributed update at one station from its own two estimates,
-    committed locally only.
-
-    Defers whenever either estimate is unavailable (None) for the interval.
-    """
+    """Distributed update at one station on the error (p_obs - p_opt) +
+    (p_obs - p_own): a collision term, and a fairness term that pushes a
+    station colliding less than it observes toward a larger window. Defers
+    (returns the state) whenever either estimate is None for the interval."""
     if p_obs is None or p_own is None:
-        return pi_update(state, None)
-    return pi_update(state, dac_error(p_obs, p_own, p_opt))
+        return state   # as `pi_update` returns it for a deferred error
+    return pi_update(state, 2.0 * p_obs - p_own - p_opt)

@@ -20,8 +20,7 @@ from .scenario import Scenario
 
 @dataclass(slots=True)
 class IntervalRecord:
-    """Per-node controller/estimator snapshot emitted each beacon interval,
-    one per station per beacon, so it keeps no per-instance dict."""
+    """A node's row of `trace.csv` at one beacon; a row tuple holds the fields after `t_ms`."""
 
     t_ms: int
     node: str
@@ -75,8 +74,8 @@ class ControlPlane:
     """Decides the window of stations 1..n: its start (`start_cw`, doubling
     if `beb`) and each beacon's commit. Keeps what it reads and writes: the
     AP's interval tally (`ap`) and each station's counters as read at the
-    last beacon (`marks`). It hands each trace record to `trace` as it
-    makes it; without a `trace` it makes none.
+    last beacon (`marks`). It hands each beacon's trace rows to `trace` in
+    one call; without a `trace` it makes none.
 
     mode "cac": one controller at the AP, window broadcast to every station.
     mode "dac": one controller per station, committed locally.
@@ -112,36 +111,23 @@ class ControlPlane:
         self.trace = trace
         self._names = {i: f"sta{i}" for i in ids}   # trace node names
 
-    def _record_step(self, t_ms: int, node: str, p_obs: float | None,
-                     p_own: float | None, old: ControllerState,
-                     new: ControllerState) -> int:
-        """Record one controller step from `old` to `new`, when traced, and
-        return the window it commits. A window at a bound counts a cap hit;
-        a deferred step, which returns the same state, records no error."""
-        cw = new.cw_quantized
-        if cw in (new.cw_floor, new.cw_ceiling):
-            self.cw_cap_hits += 1
-        if self.trace is not None:
-            self.trace(IntervalRecord(
-                t_ms, node, p_obs, p_own, new.prev_error if new is not old else None,
-                new.cw_real, cw))
-        return cw
-
     def beacon_update(self, t_ms: int, stations: list[Station], heard) -> None:
-        """Close the interval: take each station's gains since the last
-        beacon, step the controllers on the interval's estimates, commit
-        their windows, and hand the interval's records to `trace`, if any:
-        the AP's, then one per station in `stations` order.
+        """Close the interval: step the controllers on the interval's
+        estimates, commit their windows, and hand `trace`, if any, the rows
+        in one call, `trace(t_ms, rows)`: the AP's, then each station's.
 
         `heard` yields each station's vantage tally, `(r0, r1)` in `stations`
         order; a station's sniffer heard it less its `missed`, which is then
         zeroed, and `sniffed` gains what it heard. Its counter gains are
         taken against `marks`, which then hold the new reading. Each station
-        takes one pass: its gains, its estimates, its step, its commit and
-        its record."""
+        takes one pass: its gains, estimates, step, commit (a write of
+        `cw_min_current`) and row. A window at a bound counts a cap hit; a
+        deferred step returns the same state, and its row has no error."""
         min_samples, max_retry, p_opt = self.min_samples, self.profile.max_retry, self.p_opt
         names, states, marks, trace = self._names, self.dac_states, self.marks, self.trace
         dac = self.mode == "dac"
+        rows = None if trace is None else []
+        hits = 0
         ap = self.ap
         ap_p_obs = estimate_p_obs(ap.r0, ap.r1, min_samples)
         ap.roll_interval()
@@ -149,9 +135,13 @@ class ControlPlane:
         if self.mode == "cac":
             old = self.cac_state
             self.cac_state = new = cac_step(ap_p_obs, old, p_opt)
-            announced = self._record_step(t_ms, "ap", ap_p_obs, None, old, new)
-        elif trace is not None:
-            trace(IntervalRecord(t_ms, "ap", ap_p_obs, None, None, None, None))
+            _, floor, ceiling, cw_real, announced, error = new
+            hits += announced == floor or announced == ceiling
+            if rows is not None:
+                rows.append(("ap", ap_p_obs, None, error if new is not old else None,
+                             cw_real, announced))
+        elif rows is not None:
+            rows.append(("ap", ap_p_obs, None, None, None, None))
 
         for s, (r0, r1) in zip(stations, heard):
             missed, sniffed = s.missed, s.sniffed
@@ -161,21 +151,28 @@ class ControlPlane:
             sniffed[0] += r0
             sniffed[1] += r1
             p_obs = estimate_p_obs(r0, r1, min_samples)
-            ok0, retried0, dropped0 = marks[s.id]
-            ok, retried, dropped = marks[s.id] = s.successes, s.retries, s.drops
+            sid = s.id
+            ok0, retried0, dropped0 = marks[sid]
+            ok, retried, dropped = marks[sid] = s.successes, s.retries, s.drops
             p_own = estimate_p_own(ok - ok0, retried - retried0, dropped - dropped0,
                                    max_retry)
             if dac:
-                old = states[s.id]
-                states[s.id] = new = dac_step(p_obs, p_own, old, p_opt)
-                s.commit_cw_min(self._record_step(t_ms, names[s.id], p_obs, p_own,
-                                                  old, new))
+                old = states[sid]
+                states[sid] = new = dac_step(p_obs, p_own, old, p_opt)
+                _, floor, ceiling, cw_real, cw, error = new
+                hits += cw == floor or cw == ceiling
+                s.cw_min_current = cw
+                if rows is not None:
+                    rows.append((names[sid], p_obs, p_own, error if new is not old else None,
+                                 cw_real, cw))
             else:
                 if announced is not None:
-                    s.commit_cw_min(announced)
-                if trace is not None:
-                    trace(IntervalRecord(t_ms, names[s.id], p_obs, p_own,
-                                         None, None, s.cw_min_current))
+                    s.cw_min_current = announced
+                if rows is not None:
+                    rows.append((names[sid], p_obs, p_own, None, None, s.cw_min_current))
+        self.cw_cap_hits += hits
+        if rows is not None:
+            trace(t_ms, rows)
 
 
 def run_slotted(stations: list[Station], profile: PhyProfile,

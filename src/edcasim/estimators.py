@@ -56,7 +56,7 @@ def estimate_p_own(successes: int, retries: int, drops: int,
         raise ValueError("counters decreased: accounting corruption")
     # A dropped frame's retries may have been recorded in earlier intervals,
     # so the corrected gain can dip below zero; floor it there.
-    f = max(0, retries - drops * max_retry)
+    f = retries - drops * max_retry if retries > drops * max_retry else 0
     if f + successes == 0:
         return None
     return f / (f + successes)

@@ -195,20 +195,30 @@ def slot_trace_writer(fh):
 
 
 def trace_writer(fh):
-    """Write the trace header to `fh` and return a trace sink that writes
-    one row per IntervalRecord."""
+    """Write the trace header to `fh` and return a trace sink that writes a
+    beacon's rows, the control plane's `(node, p_obs, p_own, error, cw_real,
+    cw_quantized)` tuples, with one `fh.write`."""
     fh.write(TRACE_HEADER + "\n")
     write = fh.write
 
     # Floats print with six decimals, integers as they are, None as nothing.
-    def write_record(r: IntervalRecord) -> None:
-        write(f"{r.t_ms},{r.node},{'' if r.p_obs is None else f'{r.p_obs:.6f}'},"
-              f"{'' if r.p_own is None else f'{r.p_own:.6f}'},"
-              f"{'' if r.error is None else f'{r.error:.6f}'},"
-              f"{'' if r.cw_real is None else f'{r.cw_real:.6f}'},"
-              f"{'' if r.cw_quantized is None else r.cw_quantized}\n")
+    def write_rows(t_ms: int, rows: list[tuple]) -> None:
+        prefix = f"{t_ms},"
+        full = prefix + "%s,%.6f,%.6f,%.6f,%.6f,%s\n"   # a row with every field
+        lines = []
+        for row in rows:
+            if None not in row:
+                lines.append(full % row)
+                continue
+            node, p_obs, p_own, error, cw_real, cw = row
+            lines.append(f"{prefix}{node},{'' if p_obs is None else f'{p_obs:.6f}'},"
+                         f"{'' if p_own is None else f'{p_own:.6f}'},"
+                         f"{'' if error is None else f'{error:.6f}'},"
+                         f"{'' if cw_real is None else f'{cw_real:.6f}'},"
+                         f"{'' if cw is None else cw}\n")
+        write("".join(lines))
 
-    return write_record
+    return write_rows
 
 
 def emit_outputs(result: ExperimentResult, outdir: str) -> dict[str, str]:

@@ -50,12 +50,17 @@ class CaptureModel:
 
 def resolve_capture(transmitters: list[Station],
                     capture: CaptureModel) -> Station | None:
-    """Pick the station whose frame survives an overlap of two or more, if any.
-
-    The threshold rule is deterministic; ties need no randomness (no winner).
-    """
-    best, second = sorted(transmitters, key=lambda s: (-s.snr_db, s.id))[:2]
-    return best if capture.captures(best.snr_db, second.snr_db) else None
+    """Pick the station whose frame survives an overlap of two or more, if
+    any: the strongest (ties to the lower id), if it captures over the next."""
+    best = transmitters[0]
+    top, second = best.snr_db, -math.inf
+    for s in transmitters[1:]:
+        snr = s.snr_db
+        if snr > top or snr == top and s.id < best.id:
+            best, top, second = s, snr, top
+        elif snr > second:
+            second = snr
+    return best if capture.captures(top, second) else None
 
 
 TRAFFIC_KINDS = ("saturated", "onoff")
@@ -92,7 +97,7 @@ class TrafficSource:
 
 
 def effective_cw_max(cw_min: int, m: int, cw_ceiling: int) -> int:
-    """Backoff ceiling a station derives from its committed CW_min."""
+    """Backoff window at stage `m`, capped; at the last stage, a station's ceiling."""
     return min(cw_min * (2 ** m), cw_ceiling)
 
 
@@ -114,8 +119,13 @@ class Station:
         self.success_us = int(round(success_duration(profile, self.payload_bytes)))
         self.collision_us = int(round(collision_duration(profile, self.payload_bytes)))
         self.beb = beb
-        self.cw_min_current = None   # no window committed yet
-        self.commit_cw_min(cw_min)
+        # The committed window: the control plane writes it, and it takes
+        # effect at the next backoff draw, so the running counter survives.
+        self.cw_min_current = cw_min
+        # A retry's window doubles up to `max_stage` times under `cw_cap`:
+        # m stages under the PHY's ceiling with BEB; without, none, uncapped.
+        self.max_stage, self.cw_cap = ((profile.m_backoff_stages, profile.cw_ceiling)
+                                       if beb else (0, math.inf))
         self.retry_count = 0
         self.backlogged = self.saturated
         self.backoff_counter = 0
@@ -138,26 +148,23 @@ class Station:
     def retry_flag(self) -> bool:
         return self.retry_count > 0
 
+    @property
+    def cw_max(self) -> int:
+        """The window of the last backoff stage: without BEB, CW_min itself."""
+        return effective_cw_max(self.cw_min_current, self.max_stage, self.cw_cap)
+
     def draw_backoff(self) -> None:
         # rng.randrange(w), drawn as CPython 3.10 to 3.13 draw it: k-bit
         # draws until one falls below w. Stage 0 spans CW_min itself, which
-        # a validated window never puts above cw_max.
-        w = min(self.cw_min_current << self.retry_count, self.cw_max) \
-            if self.retry_count else self.cw_min_current
+        # a validated window never puts above cw_max; a retry's window is
+        # `effective_cw_max` at its stage, inlined: a draw ends most attempts.
+        w, r = self.cw_min_current, self.retry_count
+        if r:
+            w = min(w << (r if r < self.max_stage else self.max_stage), self.cw_cap)
         k = w.bit_length()
         while (r := self.getrandbits(k)) >= w:
             pass
         self.backoff_counter = r
-
-    def commit_cw_min(self, cw_min: int) -> None:
-        # Takes effect at the next backoff draw; the running counter survives.
-        # Without BEB the ceiling is CW_min itself, so retries never widen it.
-        # The ceiling depends on CW_min alone, so an unchanged window is a no-op.
-        if cw_min == self.cw_min_current:
-            return
-        self.cw_min_current = cw_min
-        self.cw_max = effective_cw_max(cw_min, self.profile.m_backoff_stages,
-                                       self.profile.cw_ceiling) if self.beb else cw_min
 
     def note_attempt(self) -> None:
         if self.retry_count:
@@ -204,13 +211,14 @@ def run_slot(transmitters: list[Station], capture: CaptureModel,
     transmitter's `missed`: its sniffer was busy sending. When given,
     `slot_log` receives a FrameRecord for each transmitted frame.
     """
+    busy_us = 0   # the largest `collision_us`, unless a frame is decoded
     for s in transmitters:
         s.note_attempt()
+        if s.collision_us > busy_us:
+            busy_us = s.collision_us
     winner = resolve_capture(transmitters, capture)
 
-    if winner is None:
-        busy_us = max(s.collision_us for s in transmitters)
-    else:
+    if winner is not None:
         busy_us = winner.success_us
         flag = winner.retry_flag
         ap_counters.observe_frame(flag)

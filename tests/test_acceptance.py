@@ -11,13 +11,14 @@ import time
 
 import pytest
 
-from edcasim.controllers import PiGains, compute_p_opt, pi_update, quantize_cw
+from edcasim.controllers import ControllerState, PiGains, compute_p_opt, dac_step, pi_update
 from edcasim.cli import main as cli_main
 from edcasim.harness import (ExperimentResult, jain_index, run_experiment, run_once,
                              sweep_points)
 from edcasim.oracle import cw_targeted_by_p, optimal_cw_bruteforce, solve_fixed_point
 from edcasim.phy import PROFILE_80211A_24
 from edcasim.scenario import Scenario, get_preset
+from recording import record_sink
 
 PROFILE = PROFILE_80211A_24
 P_OPT = compute_p_opt(PROFILE, 1500)
@@ -51,7 +52,7 @@ def traced_experiment(scenario):
     """Run `scenario`'s replications as `run_experiment` does, and return
     its result with each replication's own list of trace records."""
     records = [[] for _ in range(scenario.replications)]
-    runs = [run_once(scenario, rep, trace=records[rep].append)
+    runs = [run_once(scenario, rep, trace=record_sink(records[rep]))
             for rep in range(scenario.replications)]
     return ExperimentResult(scenario=scenario, runs=runs), records
 
@@ -78,7 +79,7 @@ def fig10_doubling(request):
 def fig5_records(request):
     """The trace records of fig5's first replication."""
     records = []
-    run_experiment(get_preset("fig5_cac_point_of_operation"), trace=records.append)
+    run_experiment(get_preset("fig5_cac_point_of_operation"), trace=record_sink(records))
     return records
 
 
@@ -296,7 +297,6 @@ def test_c10_controller_algebra(fig5_records):
     checks["velocity identity"] = ok_vel
 
     # clamp absorption with physical error magnitudes
-    from edcasim.controllers import ControllerState
     s = ControllerState(gains=PiGains(k_p=25.3, k_i=14.9), cw_floor=16,
                         cw_ceiling=1024, cw_real=1015.0, cw_quantized=1024)
     s = pi_update(s, 0.8)
@@ -322,7 +322,9 @@ def test_c10_controller_algebra(fig5_records):
     checks["CAC uniformity"] = ok_uniform
 
     # DAC fixed point: zero error everywhere iff everything at the target
-    from edcasim.controllers import dac_error
+    def dac_error(p_obs, p_own, p_opt):
+        return dac_step(p_obs, p_own, _fresh_state(25.3, 14.9), p_opt).prev_error
+
     ok_fp = dac_error(P_OPT, P_OPT, P_OPT) == pytest.approx(0.0)
     for _ in range(500):
         p_own = [rng.uniform(0, 0.5) for _ in range(6)]
@@ -337,8 +339,14 @@ def test_c10_controller_algebra(fig5_records):
                             for k, v in checks.items()))
 
 
+def quantize_cw(cw_real, floor, ceiling):
+    """The window `pi_update` commits for `cw_real`: zero errors leave the
+    real window in place."""
+    return pi_update(ControllerState(PiGains(1.0, 1.0), floor, ceiling, cw_real, floor),
+                     0.0).cw_quantized
+
+
 def _fresh_state(k_p, k_i, cw=5000.0):
-    from edcasim.controllers import ControllerState
     return ControllerState(gains=PiGains(k_p=k_p, k_i=k_i),
                            cw_floor=1, cw_ceiling=10 ** 9, cw_real=cw,
                            cw_quantized=quantize_cw(cw, 1, 10 ** 9))

@@ -1,20 +1,22 @@
 import dataclasses
+import io
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from edcasim.controllers import (CONTROLLERS, ControllerState, PiGains, cac_error,
-                                 cac_step, compute_gains, compute_p_opt, dac_error,
-                                 dac_step, initial_state, pi_update, quantize_cw)
-from edcasim import engine
+from edcasim.controllers import (CONTROLLERS, ControllerState, PiGains, cac_step,
+                                 compute_gains, compute_p_opt, dac_step, initial_state,
+                                 pi_update)
 from edcasim.engine import ControlPlane, IntervalRecord, run_slotted
 from edcasim.estimators import estimate_p_obs, estimate_p_own
-from edcasim.harness import _build_stations
+from edcasim.harness import _build_stations, trace_writer
 from edcasim.mac import CaptureModel, Station, effective_cw_max
 from edcasim.phy import PROFILE_80211A_24, PhyProfile, collision_duration
 from edcasim.scenario import Scenario
+from recording import record_sink
 
 # Frozen from a 40-digit evaluation of the closed forms (see test docstrings).
 P_OPT_80211A_1500 = 0.15631646219011982
@@ -92,11 +94,18 @@ class TestGains:
             compute_gains(0.16, 0)
 
 
+def dac_error(p_obs: float, p_own: float, p_opt: float) -> float:
+    """The error a DAC step feeds its PI update, as the new state stores it."""
+    return dac_step(p_obs, p_own, make_state(), p_opt).prev_error
+
+
 class TestErrors:
+    """Each step's error signal, read off the state it returns."""
+
     @pytest.mark.parametrize("p_obs,p_opt,expected", [
         (0.16, 0.16, 0.0), (0.30, 0.16, 0.14), (0.05, 0.16, -0.11)])
     def test_cac_error(self, p_obs, p_opt, expected):
-        assert cac_error(p_obs, p_opt) == pytest.approx(expected)
+        assert cac_step(p_obs, make_state(), p_opt).prev_error == pytest.approx(expected)
 
     @pytest.mark.parametrize("p_obs,p_own,p_opt,expected", [
         (0.2, 0.1, 0.16, 0.14),
@@ -122,28 +131,56 @@ class TestErrors:
         assert dac_error(p_opt, p_opt, p_opt) == pytest.approx(0.0)
 
 
+def committed_cw(cw_real: float, floor: int, ceiling: int) -> int:
+    """The window `pi_update` commits for `cw_real`: a zero error on a zero
+    previous error leaves the real window where it is."""
+    return pi_update(ControllerState(PiGains(25.3, 14.9), floor, ceiling, cw_real, floor),
+                     0.0).cw_quantized
+
+
+# The exponent's rounding ties, 2 ** (k + 0.5), over the windows 1..2**20.
+_TIES = st.integers(0, 19).map(lambda k: 2.0 ** (k + 0.5))
+
+
 class TestQuantize:
+    """`pi_update` commits the nearest power of 2 in log space, clamped to
+    the bounds; half-way exponents round half to even."""
+
     @pytest.mark.parametrize("cw_real,expected", [
         (115.0, 128), (90.0, 64), (16.0, 16), (1024.0, 1024)])
     def test_examples(self, cw_real, expected):
-        assert quantize_cw(cw_real, 16, 1024) == expected
+        assert committed_cw(cw_real, 16, 1024) == expected
 
     def test_half_even_ties(self):
         # 2^6.5: exponent rounds half-to-even down to 6
-        assert quantize_cw(2 ** 6.5, 16, 1024) == 64
+        assert committed_cw(2 ** 6.5, 16, 1024) == 64
         # 2^7.5 rounds up to 8
-        assert quantize_cw(2 ** 7.5, 16, 1024) == 256
+        assert committed_cw(2 ** 7.5, 16, 1024) == 256
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(
+               _TIES,
+               _TIES.flatmap(lambda t: st.sampled_from(
+                   [math.nextafter(t, 0.0), math.nextafter(t, math.inf)])),
+               st.floats(1.0, 2.0 ** 20)),
+           bounds=st.lists(st.integers(0, 20), min_size=2, max_size=2).map(sorted))
+    @example(x=2 ** 6.5, bounds=[4, 10])
+    @example(x=2 ** 12.5, bounds=[0, 20])
+    def test_commit_rounds_the_exponent_half_to_even(self, x, bounds):
+        floor, ceiling = (1 << b for b in bounds)
+        assert committed_cw(x, floor, ceiling) == min(max(2 ** round(math.log2(x)), floor),
+                                                     ceiling)
 
     def test_idempotent(self):
         rng = random.Random(3)
         for _ in range(100):
             x = rng.uniform(16, 1024)
-            q = quantize_cw(x, 16, 1024)
-            assert quantize_cw(float(q), 16, 1024) == q
+            q = committed_cw(x, 16, 1024)
+            assert committed_cw(float(q), 16, 1024) == q
 
     def test_clamped_to_bounds(self):
-        assert quantize_cw(4.0, 16, 1024) == 16
-        assert quantize_cw(9000.0, 16, 1024) == 1024
+        assert committed_cw(4.0, 16, 1024) == 16
+        assert committed_cw(9000.0, 16, 1024) == 1024
 
 
 def make_state(cw_real=64.0, k_p=25.3, k_i=14.9, prev_error=0.0,
@@ -151,7 +188,7 @@ def make_state(cw_real=64.0, k_p=25.3, k_i=14.9, prev_error=0.0,
     g = PiGains(k_p=k_p, k_i=k_i)
     return ControllerState(gains=g, cw_floor=floor, cw_ceiling=ceiling,
                            cw_real=cw_real,
-                           cw_quantized=quantize_cw(cw_real, floor, ceiling),
+                           cw_quantized=committed_cw(cw_real, floor, ceiling),
                            prev_error=prev_error)
 
 
@@ -334,7 +371,7 @@ class TestIntervalGains:
         station = Station(1, 30.0, sc.phy(), random.Random(1),
                           1500, 16)
         records = []
-        return ControlPlane(sc, records.append), station, records
+        return ControlPlane(sc, record_sink(records)), station, records
 
     def test_interval_deltas(self):
         plane, station, records = self.plane_and_station()
@@ -377,8 +414,8 @@ class TestWindowBoundHits:
 
 
 class TestUntracedPlane:
-    """Without a trace sink the plane builds no IntervalRecord, yet steps,
-    counts cap hits and commits every window as a traced plane does."""
+    """Without a trace sink the plane builds no trace row, yet steps, counts
+    cap hits and commits every window as a traced plane does."""
 
     @staticmethod
     def run(sc, trace):
@@ -389,15 +426,58 @@ class TestUntracedPlane:
                 [s.cw_min_current for s in stations])
 
     @pytest.mark.parametrize("controller", CONTROLLERS)
-    def test_builds_no_record_and_commits_alike(self, controller, monkeypatch):
+    def test_builds_no_record_and_commits_alike(self, controller):
         sc = Scenario(snr_db=(35.0, 30.0, 25.0, 20.0), controller=controller,
                       duration_s=2.0, replications=1, seed=3)
-        records, made = [], []
-        traced = self.run(sc, records.append)
-        monkeypatch.setattr(engine, "IntervalRecord", lambda *row: made.append(row))
-        untraced = self.run(sc, None)
-        assert len(records) == 20 * (sc.n_stations + 1) and made == []
+        records, appends = [], []
+        traced = self.run(sc, record_sink(records))
+
+        def watch(frame, event, arg):
+            # A row is a tuple appended to the beacon's list of rows.
+            if (event == "c_call" and frame.f_code.co_name == "beacon_update"
+                    and arg.__name__ == "append"):
+                appends.append(frame.f_lineno)
+
+        sys.setprofile(watch)
+        try:
+            untraced = self.run(sc, None)
+        finally:
+            sys.setprofile(None)
+        assert len(records) == 20 * (sc.n_stations + 1) and appends == []
         assert untraced == traced
+
+
+class TestCallsPerStep:
+    """The beacon pass's cost, counted rather than timed: the Python calls
+    made under `beacon_update` per DAC station step, on 40 stations for 2 s.
+    A step calls `estimate_p_obs`, `estimate_p_own`, `dac_step` and
+    `pi_update`, and commits its window only when it moves; a trace sink
+    takes one call per beacon, not one per row."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_dac_station_step_makes_at_most_4_calls(self, traced):
+        sc = Scenario(snr_db=tuple(40.0 - 0.5 * i for i in range(40)), controller="dac",
+                      duration_s=2.0, replications=1, seed=3)
+        control = ControlPlane(sc, trace_writer(io.StringIO()) if traced else None)
+        stations = _build_stations(sc, sc.seed, control)
+        update = ControlPlane.beacon_update.__code__
+        open_updates = calls = 0
+
+        def count(frame, event, arg):
+            nonlocal open_updates, calls
+            if frame.f_code is update:
+                open_updates += (event == "call") - (event == "return")
+            elif open_updates and event == "call":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            run_slotted(stations, control.profile, CaptureModel(), control, sc.duration_us)
+        finally:
+            sys.setprofile(None)
+        steps = sc.duration_us // control.profile.beacon_interval * sc.n_stations
+        assert steps == 800
+        assert calls / steps <= 4.0, (calls, steps)
 
 
 def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Station],
@@ -424,7 +504,7 @@ def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Stati
         if announced in (plane.cac_state.cw_floor, plane.cac_state.cw_ceiling):
             plane.cw_cap_hits += 1
         for s in stations:
-            s.commit_cw_min(announced)
+            s.cw_min_current = announced
         records.append(IntervalRecord(t_ms, "ap", ap_p_obs, None, err,
                                       plane.cac_state.cw_real, announced))
     else:
@@ -439,7 +519,7 @@ def _two_pass_beacon_update(plane: ControlPlane, t_ms: int, stations: list[Stati
             err = new.prev_error if new is not old else None
             if new.cw_quantized in (new.cw_floor, new.cw_ceiling):
                 plane.cw_cap_hits += 1
-            s.commit_cw_min(new.cw_quantized)
+            s.cw_min_current = new.cw_quantized
             records.append(IntervalRecord(t_ms, f"sta{s.id}", p_obs, p_own, err,
                                           new.cw_real, new.cw_quantized))
         else:
@@ -508,7 +588,7 @@ class TestFusedBeaconPass:
             stations = [Station(i, 30.0, profile, random.Random(i),
                                 1500, cw, beb)
                         for i, (cw, beb) in enumerate(zip(run["windows"], run["bebs"]), 1)]
-            sides.append((ControlPlane(sc, records.append), stations))
+            sides.append((ControlPlane(sc, record_sink(records)), stations))
         (fused, fused_stations), (reference, reference_stations) = sides
         for k, ((ap_r0, ap_r1), gains) in enumerate(run["intervals"], 1):
             heard = [g[:2] for g in gains]

@@ -12,6 +12,7 @@ from edcasim.harness import _build_stations, run_once, slot_trace_writer, trace_
 from edcasim.mac import CAPTURE_MODES, CaptureModel
 from edcasim.oracle import solve_fixed_point
 from edcasim.scenario import ConfigError, Scenario, hidden_node_visibility
+from recording import record_sink
 
 
 def hidden_pair_scenario(controller="edca-static", **kw):
@@ -47,7 +48,7 @@ class TestHiddenPair:
     def test_dac_defers_forever_without_observable_traffic(self):
         records = []
         run_once(hidden_pair_scenario(controller="dac", duration_s=10.0), 0,
-                 trace=records.append)
+                 trace=record_sink(records))
         # no sniffable data frames at either station: window pinned at start
         for rec in records:
             if rec.node.startswith("sta"):
@@ -126,15 +127,15 @@ class TestEngineConsistency:
     def test_event_engine_deterministic(self):
         records1, records2 = [], []
         r1 = run_once(hidden_pair_scenario(controller="cac", duration_s=5.0), 0,
-                      trace=records1.append)
+                      trace=record_sink(records1))
         r2 = run_once(hidden_pair_scenario(controller="cac", duration_s=5.0), 0,
-                      trace=records2.append)
+                      trace=record_sink(records2))
         assert r1.throughput_mbps == r2.throughput_mbps
         assert records1 == records2
 
     def test_trace_rows_per_interval_per_node(self):
         records = []
-        run_once(hidden_pair_scenario(duration_s=5.0), 0, trace=records.append)
+        run_once(hidden_pair_scenario(duration_s=5.0), 0, trace=record_sink(records))
         intervals = int(5e6) // hidden_pair_scenario().phy().beacon_interval
         assert len(records) == intervals * 3   # 2 stations + AP
 
@@ -486,7 +487,7 @@ class _UnchainedEngine(EventEngine):
 def _frames_and_result(cls, sc):
     """The FrameRecords of a run, its trace records and its RunResult."""
     frames, records = [], []
-    res = _engine_for(cls, sc, slot_log=frames.append, trace=records.append).run()
+    res = _engine_for(cls, sc, slot_log=frames.append, trace=record_sink(records)).run()
     return frames, records, res
 
 

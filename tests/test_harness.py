@@ -23,6 +23,7 @@ from edcasim.harness import (OUTPUT_NAMES, SUMMARY_HEADER, SWEEP_AXES, _build_st
 from edcasim.mac import FrameRecord
 from edcasim.scenario import (ConfigError, Scenario, emit_scenario, get_preset,
                               load_scenario)
+from recording import record_sink
 
 
 def tiny_scenario(**kw):
@@ -58,7 +59,7 @@ def records_trace(records) -> str:
     out = io.StringIO()
     write = trace_writer(out)
     for record in records:
-        write(record)
+        write(record.t_ms, [dataclasses.astuple(record)[1:]])
     return out.getvalue()
 
 
@@ -111,8 +112,8 @@ class TestExperiment:
     def test_parallel_jobs_identical_to_sequential(self):
         sc = tiny_scenario(replications=3)
         seq_records, par_records = [], []
-        seq = run_experiment(sc, jobs=1, trace=seq_records.append)
-        par = run_experiment(sc, jobs=3, trace=par_records.append)
+        seq = run_experiment(sc, jobs=1, trace=record_sink(seq_records))
+        par = run_experiment(sc, jobs=3, trace=record_sink(par_records))
         assert throughputs(seq) == throughputs(par)
         assert seq_records == par_records
 
@@ -123,12 +124,12 @@ class TestExperiment:
         adaptive = both_engines(snr_db=(30.0,) * 8, duration_s=3.0, replications=1)
         for sc in frozen:
             records = []
-            run_experiment(sc, trace=records.append)
+            run_experiment(sc, trace=record_sink(records))
             assert all(rec.cw_quantized == 16 for rec in records
                        if rec.node == "ap")
         for sc in adaptive:
             records = []
-            run_experiment(sc, trace=records.append)
+            run_experiment(sc, trace=record_sink(records))
             assert any(rec.cw_quantized > 16 for rec in records
                        if rec.node == "ap")
 
@@ -137,7 +138,7 @@ class TestExperiment:
         for sc in both_engines(snr_db=(30.0,) * 4, duration_s=3.0, replications=1,
                                defer_min_samples=10**9):
             records = []
-            run_experiment(sc, trace=records.append)
+            run_experiment(sc, trace=record_sink(records))
             for rec in records:
                 if rec.node == "ap":
                     assert rec.error is None and rec.cw_quantized == 16
@@ -372,7 +373,7 @@ class TestStreamedTrace:
         for sc in both_engines(controller=controller, replications=replications,
                                duration_s=1.0):
             kept = []
-            run_once(sc, 0, trace=kept.append)
+            run_once(sc, 0, trace=record_sink(kept))
             streamed = io.StringIO()
             result = run_experiment(sc, jobs=jobs, trace=trace_writer(streamed))
             assert kept
@@ -392,7 +393,7 @@ class TestStreamedTrace:
             written = tmp_path / "o" / f"controller_{value}"
             assert sorted(p.name for p in written.iterdir()) == sorted(OUTPUT_NAMES)
             records = []
-            run_experiment(point, trace=records.append)
+            run_experiment(point, trace=record_sink(records))
             assert (written / "trace.csv").read_text() == records_trace(records)
 
     @staticmethod
