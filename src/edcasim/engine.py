@@ -6,14 +6,13 @@ topologies.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from itertools import repeat
 
 from .controllers import (ControllerState, PiGains, cac_step, compute_gains, compute_p_opt,
                           dac_step, initial_state)
 from .estimators import BeaconCounters, estimate_p_obs, estimate_p_own
-from .mac import CaptureModel, Station, run_lone, run_slot
+from .mac import CaptureModel, Station, run_slot
 from .phy import PhyProfile
 from .scenario import Scenario
 
@@ -186,11 +185,11 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
     slots and a heap of each backlogged station's fire slot: the count at
     its draw plus the drawn counter. A station transmits when the count
     reaches its fire slot. A station with nothing to send waits in a heap
-    of arrival times; an idle jump stops at the first slot boundary at or
-    past the earliest arrival or the next beacon, and a countdown that runs
-    out before then leads into its transmission in the same loop pass.
+    of arrival times. Each loop pass hands `run_slot` the horizon, the
+    earliest arrival or the next beacon, and it resolves every channel
+    event before then and stops at the first slot boundary at or past it.
     Every station that does not transmit sniffs exactly the frames the AP
-    decodes, so `run_lone` and `run_slot` note only the AP's gains during a
+    decodes, so `run_slot` notes only the AP's gains during a
     station's own transmit events (`Station.missed`), and at each beacon the
     control plane takes every station's sniffed tally as the AP's less
     those. So a channel event costs O(transmitters) for both traffic kinds;
@@ -225,42 +224,7 @@ def run_slotted(stations: list[Station], profile: PhyProfile,
             heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
         # Both lie ahead of `t`, so every idle jump is at least one slot.
         horizon = min(next_beacon, arrivals[0][0]) if arrivals else next_beacon
-
-        # Every lone transmitter before the horizon, in one call. It stops
-        # at a station whose burst ran dry, which then waits for its next
-        # arrival, and before a slot where two or more fire.
-        t, idle, dry = run_lone(fires, t, idle, horizon, slot, ap, slot_log)
-        if dry is not None:
-            heapq.heappush(arrivals, (dry.traffic.arrival_us, dry.id, dry))
-            continue
-        if t >= horizon:   # a lone frame ran onto the horizon
-            continue
-        if not fires:
-            t = horizon
-            continue
-
-        wait = fires[0][0] - idle
-        if t + wait * slot >= horizon:
-            # The jump reaches the horizon: stop at the first slot boundary
-            # at or past it, and let the next pass handle it.
-            jump = math.ceil((horizon - t) / slot)
-            idle += jump
-            t += jump * slot
-            continue
-
-        # Two or more fire before the horizon. `run_slot` redraws every
-        # transmitter's counter, or leaves it idle until its next arrival.
-        idle += wait
-        t += wait * slot
-        transmitters = []
-        while fires and fires[0][0] == idle:
-            transmitters.append(heapq.heappop(fires)[2])
-        t += run_slot(transmitters, capture, ap, t, slot_log)
-        for s in transmitters:
-            if s.backlogged:
-                heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
-            else:
-                heapq.heappush(arrivals, (s.traffic.arrival_us, s.id, s))
+        t, idle = run_slot(fires, arrivals, t, idle, horizon, slot, capture, ap, slot_log)
 
     for fire, _, s in fires:
         s.backoff_counter = fire - idle

@@ -1,6 +1,7 @@
 """Station MAC state and the per-frame and per-interval protocol both
 engines drive it through, capture, traffic, the frame record both engines
-log, and the slotted channel steps for a single collision domain.
+log, and the slotted channel events of a single collision domain, which
+`run_slot` resolves.
 
 In the slotted engine all stations share one slot clock, which is exact
 when every station hears every other (the hearing matrix is complete).
@@ -96,11 +97,6 @@ class TrafficSource:
         self.arrival_us = None
 
 
-def effective_cw_max(cw_min: int, m: int, cw_ceiling: int) -> int:
-    """Backoff window at stage `m`, capped; at the last stage, a station's ceiling."""
-    return min(cw_min * (2 ** m), cw_ceiling)
-
-
 class Station:
     """Mutable per-station MAC state."""
 
@@ -148,16 +144,11 @@ class Station:
     def retry_flag(self) -> bool:
         return self.retry_count > 0
 
-    @property
-    def cw_max(self) -> int:
-        """The window of the last backoff stage: without BEB, CW_min itself."""
-        return effective_cw_max(self.cw_min_current, self.max_stage, self.cw_cap)
-
     def draw_backoff(self) -> None:
         # rng.randrange(w), drawn as CPython 3.10 to 3.13 draw it: k-bit
         # draws until one falls below w. Stage 0 spans CW_min itself, which
-        # a validated window never puts above cw_max; a retry's window is
-        # `effective_cw_max` at its stage, inlined: a draw ends most attempts.
+        # a validated window never puts above `cw_cap`; a retry's doubles
+        # once per retry, at most `max_stage` times, capped at `cw_cap`.
         w, r = self.cw_min_current, self.retry_count
         if r:
             w = min(w << (r if r < self.max_stage else self.max_stage), self.cw_cap)
@@ -197,93 +188,97 @@ class Station:
         self.draw_backoff()
 
 
-def run_slot(transmitters: list[Station], capture: CaptureModel,
-             ap_counters: BeaconCounters, now_us: int = 0, slot_log=None) -> int:
-    """Resolve one busy channel event among `transmitters` and return its
-    duration in whole microseconds: the winner's `success_us`, or the
-    largest `collision_us` among them when no frame is decoded.
+def run_slot(fires: list, arrivals: list, t: int, idle: int, horizon: int, slot: int,
+             capture: CaptureModel, ap_counters: BeaconCounters, slot_log=None
+             ) -> tuple[int, int]:
+    """Resolve every channel event of the slotted loop that starts before
+    `horizon`, and return the new `(t, idle)`.
 
-    The caller passes the stations whose backoff counter reached zero, two
-    or more (`run_lone` resolves a lone one). They collide, unless the
-    capture model decodes a winner; losers follow the plain collision path
-    either way (window doubling, retry flag, retry-limit drop with window
-    reset). The decoded frame feeds the AP's counters, and every
-    transmitter's `missed`: its sniffer was busy sending. When given,
-    `slot_log` receives a FrameRecord for each transmitted frame.
+    `fires` holds each backlogged station's `(fire slot, id, station)`, and
+    `idle` counts the idle slots elapsed. A root alone in its slot is
+    decoded: it is counted in place, as `resolve_success` and `observe_frame`
+    would, draws its stage-0 counter as `draw_backoff` does, and moves with
+    one `heapreplace`. Two or more collide unless `resolve_capture` decodes
+    a winner; each loser takes `resolve_failure`, and every transmitter's
+    `missed` notes the decoded frame, which its sniffer missed while sending.
+    The event lasts the winner's `success_us` or the longest `collision_us`.
+    A station whose burst runs dry moves onto `arrivals`, and its arrival
+    lowers `horizon`. `slot_log`, if given, receives a FrameRecord per frame.
+
+    It returns the end of a frame that ran onto `horizon`; else the first
+    slot boundary at or past it, or `horizon` when nothing is backlogged.
     """
-    busy_us = 0   # the largest `collision_us`, unless a frame is decoded
-    for s in transmitters:
-        s.note_attempt()
-        if s.collision_us > busy_us:
-            busy_us = s.collision_us
-    winner = resolve_capture(transmitters, capture)
-
-    if winner is not None:
-        busy_us = winner.success_us
-        flag = winner.retry_flag
-        ap_counters.observe_frame(flag)
-        for s in transmitters:
-            s.missed[flag] += 1
-
-    if slot_log is not None:
-        overlaps = len(transmitters) - 1
-        for s in transmitters:
-            slot_log(FrameRecord(now_us, s.id, s is winner, overlaps, s.retry_flag))
-
-    end = now_us + busy_us
-    for s in transmitters:
-        if s is winner:
-            s.resolve_success(end)
-        else:
-            s.resolve_failure(end)
-    return busy_us
-
-
-def run_lone(fires: list, t: int, idle: int, horizon: int, slot: int,
-             ap_counters: BeaconCounters, slot_log=None
-             ) -> tuple[int, int, Station | None]:
-    """Resolve the run of lone transmitters at the root of the slotted
-    loop's fire heap, `(fire slot, station id, station)`, and return the new
-    `(t, idle)` and the station whose burst ran dry, if any.
-
-    While the root fires before `horizon` and neither of its children fires
-    in the same slot, its frame is decoded: the clock advances to its start,
-    the station and the AP count it as `run_slot` would, and the station
-    draws its next counter as `draw_backoff` does (a success leaves it at
-    stage 0) and moves to its next fire with one `heapreplace`. A station
-    whose on/off burst runs dry leaves the heap and ends the run.
-    """
-    n = len(fires)   # each frame's `heapreplace` keeps it
     while fires:
         fire, sid, s = fires[0]
         start = t + (fire - idle) * slot
-        # Any other station that fires in the same slot lies under one of
-        # the root's two children.
-        if start >= horizon or n > 1 and fires[1][0] == fire or (
-                n > 2 and fires[2][0] == fire):
+        if start >= horizon:
             break
         idle = fire
-        retry = s.retry_count
-        if retry:
-            s.retries += 1
-            ap_counters.r1 += 1
-            s.missed[1] += 1
-        else:
-            ap_counters.r0 += 1
-            s.missed[0] += 1
-        if slot_log is not None:
-            slot_log(FrameRecord(start, sid, True, 0, retry > 0))
-        t = start + s.success_us
-        s.successes += 1
-        s.attempts += retry + 1
-        s.retry_count = 0
-        if not (s.saturated or s.traffic.consume_frame(t)):
+        n = len(fires)
+        # Any other station that fires in the same slot lies under one of
+        # the root's two children.
+        if not (n > 1 and fires[1][0] == fire or n > 2 and fires[2][0] == fire):
+            retry = s.retry_count
+            if retry:
+                s.retries += 1
+                ap_counters.r1 += 1
+                s.missed[1] += 1
+            else:
+                ap_counters.r0 += 1
+                s.missed[0] += 1
+            if slot_log is not None:
+                slot_log(FrameRecord(start, sid, True, 0, retry > 0))
+            t = start + s.success_us
+            s.successes += 1
+            s.attempts += retry + 1
+            s.retry_count = 0
+            if s.saturated or s.traffic.consume_frame(t):
+                w = s.cw_min_current
+                k = w.bit_length()
+                while (r := s.getrandbits(k)) >= w:
+                    pass
+                heapq.heapreplace(fires, (idle + r, sid, s))
+                continue
             s.backlogged = False
             heapq.heappop(fires)
-            return t, idle, s
-        w = s.cw_min_current
-        k = w.bit_length()
-        while (r := s.getrandbits(k)) >= w:
-            pass
-        heapq.heapreplace(fires, (idle + r, sid, s))
-    return t, idle, None
+            transmitters = (s,)
+        else:
+            transmitters = []
+            while fires and fires[0][0] == fire:
+                transmitters.append(heapq.heappop(fires)[2])
+            busy_us = 0   # the largest `collision_us`, unless a frame is decoded
+            for s in transmitters:
+                s.note_attempt()
+                if s.collision_us > busy_us:
+                    busy_us = s.collision_us
+            winner = resolve_capture(transmitters, capture)
+            if winner is not None:
+                busy_us = winner.success_us
+                flag = winner.retry_flag
+                ap_counters.observe_frame(flag)
+                for s in transmitters:
+                    s.missed[flag] += 1
+            if slot_log is not None:
+                overlaps = len(transmitters) - 1
+                for s in transmitters:
+                    slot_log(FrameRecord(start, s.id, s is winner, overlaps, s.retry_flag))
+            t = start + busy_us
+            for s in transmitters:
+                if s is winner:
+                    s.resolve_success(t)
+                else:
+                    s.resolve_failure(t)
+        for s in transmitters:
+            if s.backlogged:
+                heapq.heappush(fires, (idle + s.backoff_counter, s.id, s))
+            else:
+                arrival = s.traffic.arrival_us
+                heapq.heappush(arrivals, (arrival, s.id, s))
+                if arrival < horizon:
+                    horizon = arrival
+    if t >= horizon:   # a frame ran onto the horizon
+        return t, idle
+    if not fires:
+        return horizon, idle
+    jump = (horizon - t - 1) // slot + 1   # whole slots to the first boundary past it
+    return t + jump * slot, idle + jump

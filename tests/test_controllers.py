@@ -13,7 +13,7 @@ from edcasim.controllers import (CONTROLLERS, ControllerState, PiGains, cac_step
 from edcasim.engine import ControlPlane, IntervalRecord, run_slotted
 from edcasim.estimators import estimate_p_obs, estimate_p_own
 from edcasim.harness import _build_stations, trace_writer
-from edcasim.mac import CaptureModel, Station, effective_cw_max
+from edcasim.mac import CaptureModel, Station
 from edcasim.phy import PROFILE_80211A_24, PhyProfile, collision_duration
 from edcasim.scenario import Scenario
 from recording import record_sink
@@ -570,7 +570,7 @@ def beacon_runs(draw):
 
 def _counter_state(s: Station):
     return (s.successes, s.retries, s.drops, s.attempts, s.sniffed, s.missed,
-            s.cw_min_current, s.cw_max)
+            s.cw_min_current)
 
 
 class TestFusedBeaconPass:
@@ -614,7 +614,8 @@ class TestFusedBeaconPass:
             for s, ref in zip(fused_stations, reference_stations):
                 assert _counter_state(s) == _counter_state(ref)
                 assert s.missed == [0, 0]
-                assert s.cw_max == (effective_cw_max(s.cw_min_current,
-                                                     profile.m_backoff_stages,
-                                                     profile.cw_ceiling)
-                                    if s.beb else s.cw_min_current)
+                # the window of the last backoff stage follows the commit
+                last_stage = min(s.cw_min_current << s.max_stage, s.cw_cap)
+                assert last_stage == (min(s.cw_min_current << profile.m_backoff_stages,
+                                          profile.cw_ceiling)
+                                      if s.beb else s.cw_min_current)
